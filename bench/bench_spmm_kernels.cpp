@@ -125,7 +125,7 @@ const std::vector<sparse::SpmmVariant>& kernel_grid() {
   using V = sparse::SpmmVariant;
   static const std::vector<sparse::SpmmVariant> kernels = {
       V::kGatherScalar, V::kGatherSimd, V::kGatherThreaded,
-      V::kTiled,        V::kScatter,    V::kScatterSimd,
+      V::kScatter,      V::kScatterSimd,
   };
   return kernels;
 }
@@ -140,9 +140,6 @@ void run_kernel(sparse::SpmmVariant v, Workload& wl) {
       break;
     case sparse::SpmmVariant::kGatherThreaded:
       sparse::spmm_gather_threaded(wl.w, wl.y, wl.out);
-      break;
-    case sparse::SpmmVariant::kTiled:
-      sparse::spmm_tiled(wl.w, wl.y, wl.out, 16);
       break;
     case sparse::SpmmVariant::kScatter:
       sparse::spmm_scatter(wl.w_csc, wl.y, wl.out);
@@ -164,9 +161,6 @@ void run_kernel_fused(sparse::SpmmVariant v, Workload& wl,
       break;
     case sparse::SpmmVariant::kGatherThreaded:
       sparse::spmm_gather_threaded_fused(wl.w, wl.y, wl.out, epi);
-      break;
-    case sparse::SpmmVariant::kTiled:
-      sparse::spmm_tiled_fused(wl.w, wl.y, wl.out, epi, 16);
       break;
     case sparse::SpmmVariant::kScatter:
       sparse::spmm_scatter_fused(wl.w_csc, wl.y, wl.out, epi);

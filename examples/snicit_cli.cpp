@@ -84,7 +84,7 @@ std::vector<std::string> known_flags(const std::string& cmd) {
     for (const char* f :
          {"engine", "threshold", "sample-size", "downsample", "prune",
           "auto-threshold", "stream", "workers", "queue", "trace-out",
-          "metrics-out", "spmm", "spmm-tile", "faults", "faults-seed",
+          "metrics-out", "spmm", "faults", "faults-seed",
           "max-attempts", "deadline-ms", "serve-requests", "batch-timeout",
           "packer", "models", "admission-depth", "admission-work-ms",
           "record-script", "journal", "journal-fsync", "self-sigterm",
@@ -94,7 +94,7 @@ std::vector<std::string> known_flags(const std::string& cmd) {
   } else if (cmd == "serve-replay" || cmd == "replay-journal") {
     for (const char* f :
          {"engine", "threshold", "sample-size", "downsample", "prune",
-          "spmm", "spmm-tile", "faults", "faults-seed", "script-shape",
+          "spmm", "faults", "faults-seed", "script-shape",
           "requests", "mean-gap", "deadline-ms", "script-seed",
           "serve-requests", "batch-timeout", "packer", "admission-depth",
           "admission-work-ms", "journal", "journal-fsync"}) {
@@ -160,8 +160,8 @@ Workload build_workload(const platform::CliArgs& args) {
   return {std::move(net), std::move(input)};
 }
 
-// spMM kernel policy from flags on top of the environment: SNICIT_SPMM /
-// SNICIT_SPMM_TILE set the baseline, --spmm / --spmm-tile override it.
+// spMM kernel policy from flags on top of the environment: SNICIT_SPMM
+// sets the baseline, --spmm overrides it.
 sparse::SpmmPolicy cli_spmm_policy(const platform::CliArgs& args) {
   sparse::SpmmPolicy policy = sparse::SpmmPolicy::from_env();
   if (args.has("spmm")) {
@@ -170,14 +170,9 @@ sparse::SpmmPolicy cli_spmm_policy(const platform::CliArgs& args) {
       throw std::invalid_argument(
           "unknown --spmm spec '" + name +
           "' (expected VARIANT[+EPILOGUE] with VARIANT one of "
-          "auto|gather|gather_simd|gather_threaded|tiled|scatter|"
-          "scatter_simd and EPILOGUE fused|split, or a bare "
-          "fused|split)");
+          "auto|gather|gather_simd|gather_threaded|scatter|scatter_simd "
+          "and EPILOGUE fused|split, or a bare fused|split)");
     }
-  }
-  if (args.has("spmm-tile")) {
-    policy.tile = static_cast<std::size_t>(
-        std::max<std::int64_t>(args.get_int("spmm-tile", 16), 1));
   }
   return policy;
 }
@@ -1028,10 +1023,9 @@ void usage() {
       "            --auto-threshold --stream CHUNK --workers N --queue C\n"
       "            --spmm VARIANT[+fused|+split] | fused | split\n"
       "              (VARIANT: auto|gather|gather_simd|gather_threaded|"
-      "tiled|scatter|scatter_simd;\n"
+      "scatter|scatter_simd;\n"
       "               the epilogue arm picks fused bias+ReLU stores vs a "
       "separate pass)\n"
-      "            --spmm-tile W (batch-tile width of the tiled kernel)\n"
       "            --trace-out FILE (chrome://tracing JSON)\n"
       "            --metrics-out FILE (workload counters/series JSON)\n"
       "            --faults SPEC (deterministic fault drill, e.g.\n"

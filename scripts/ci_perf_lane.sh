@@ -41,7 +41,7 @@ echo "== gate 3/4: batching conformance =="
 "$build_dir/bench/bench_batching" --check
 
 echo "== gate 4/4: tier1 under each forced fused kernel arm =="
-for arm in gather gather_simd gather_threaded tiled scatter scatter_simd; do
+for arm in gather gather_simd gather_threaded scatter scatter_simd; do
   echo "-- SNICIT_SPMM=${arm}+fused --"
   SNICIT_SPMM="${arm}+fused" \
     ctest --test-dir "$build_dir" -L tier1 --output-on-failure

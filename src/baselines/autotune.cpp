@@ -41,14 +41,12 @@ std::vector<sparse::SpmmVariant> AutotuneEngine::arm_list() const {
   std::vector<sparse::SpmmVariant> arms = {
       sparse::SpmmVariant::kGatherScalar,
       sparse::SpmmVariant::kGatherSimd,
-      sparse::SpmmVariant::kTiled,
       sparse::SpmmVariant::kScatter,
       sparse::SpmmVariant::kScatterSimd,
   };
   // The row-parallel arm is only a distinct point when the pool has more
   // than one worker; with one it is gather-SIMD plus overhead.
-  if (options_.policy.allow_threads &&
-      platform::ThreadPool::global().size() > 1) {
+  if (platform::ThreadPool::global().size() > 1) {
     arms.push_back(sparse::SpmmVariant::kGatherThreaded);
   }
   return arms;

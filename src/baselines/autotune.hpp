@@ -4,7 +4,7 @@
 // every kernel arm on the first layers of the run (densities are roughly
 // stationary layer to layer) and then commits to the measured winner per
 // density bucket. The arm list is the library's full variant family
-// (scalar / SIMD / row-parallel gather, tiled, scalar / blocked scatter);
+// (scalar / SIMD / row-parallel gather, scalar / blocked scatter);
 // a forced SpmmPolicy variant skips trialling entirely. Exact engine:
 // every arm computes the same result.
 #pragma once
@@ -28,8 +28,7 @@ struct AutotuneOptions {
   /// Columns probed for the density estimate.
   std::size_t density_probe_columns = 16;
   /// Kernel policy. variant == kAuto trials the full arm list; a forced
-  /// variant pins every layer to that kernel and skips the trials. The
-  /// tile / threading knobs also shape how each arm executes.
+  /// variant pins every layer to that kernel and skips the trials.
   sparse::SpmmPolicy policy = {};
 };
 

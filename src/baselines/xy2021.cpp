@@ -83,14 +83,11 @@ void Xy2021Engine::run_into(const dnn::SparseDnn& net,
   double gather_picks = 0.0;
   double scatter_picks = 0.0;
 
-  // The optimisation-space search now runs through the library-wide cost
+  // The optimisation-space search runs through the library-wide cost
   // model (sparse/spmm_policy.hpp): scalar gather, register-blocked SIMD
-  // gather, row-parallel gather, tiled, scatter, blocked scatter — priced
-  // from the measured density, weight nnz/row and batch width. The legacy
-  // option fields feed the policy's knobs.
-  sparse::SpmmPolicy policy = options_.policy;
-  policy.tile = options_.tile;
-  policy.scatter_setup_cost = options_.scatter_setup_cost;
+  // gather, row-parallel gather, scatter, blocked scatter — priced from
+  // the measured density, weight nnz/row and batch width.
+  const sparse::SpmmPolicy& policy = options_.policy;
 
   for (std::size_t layer = 0; layer < layers; ++layer) {
     SNICIT_TRACE_SPAN("xy_layer", "xy2021");

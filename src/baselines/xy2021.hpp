@@ -1,9 +1,9 @@
 // XY-2021 (Xin et al.), SDGC 2021 champion: generalizes the spMM kernel
 // into a parameterized optimization space and picks the best variant with
-// a cost model. This port exposes the library's kernel family (gather /
-// tiled / scatter) as the space and selects per layer from a measured
-// activation-density estimate, mirroring the original's flexible SpMM
-// optimisation-space exploration. Exact engine.
+// a cost model. This port exposes the library's kernel family (scalar and
+// blocked gather / scatter) as the space and selects per layer from a
+// measured activation-density estimate, mirroring the original's flexible
+// SpMM optimisation-space exploration. Exact engine.
 #pragma once
 
 #include "dnn/engine.hpp"
@@ -14,15 +14,10 @@ namespace snicit::baselines {
 struct Xy2021Options {
   /// Columns sampled when estimating activation density per layer.
   std::size_t density_probe_columns = 16;
-  /// Tile width for the tiled kernel arm.
-  std::size_t tile = 16;
-  /// Fixed per-input-column overhead of the scatter kernel (zeroing the
-  /// accumulator), in units of weight-nnz work; part of the cost model.
-  double scatter_setup_cost = 0.15;
   /// Kernel-space policy: kAuto explores the library's full optimisation
-  /// space (scalar/SIMD/threaded/tiled/scatter) with the analytic cost
-  /// model in sparse/spmm_policy.hpp; a forced variant pins one arm.
-  /// The tile and scatter_setup_cost fields above are copied in.
+  /// space (scalar/SIMD/threaded gather, scalar/blocked scatter) with the
+  /// analytic cost model in sparse/spmm_policy.hpp; a forced variant pins
+  /// one arm.
   sparse::SpmmPolicy policy = {};
   /// Use the regular ELLPACK layout for the dense arm when the weights
   /// have (near-)uniform fan-in — the champions' preferred layout on the

@@ -118,10 +118,6 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
   // built: the auto-selecting kernel policy may pick a scatter arm on any
   // layer once activations go sparse.
   net.ensure_csc();
-  const sparse::SpmmPolicy pre_policy =
-      effective_spmm_policy(params_.pre_kernel, params_.spmm);
-  const sparse::SpmmPolicy post_policy =
-      effective_spmm_policy(params_.post_kernel, params_.spmm);
 
   result.begin_run();
   const std::size_t rows = input.rows();
@@ -169,8 +165,8 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
   for (int i = 0; i < t_bound; ++i) {
     SNICIT_TRACE_SPAN("pre_layer", "snicit");
     platform::Stopwatch layer;
-    pre_convergence_step(net, static_cast<std::size_t>(i), pre_policy, *cur,
-                         *nxt);
+    pre_convergence_step(net, static_cast<std::size_t>(i), params_.spmm,
+                         *cur, *nxt);
     std::swap(cur, nxt);
     result.layer_ms.push_back(layer.elapsed_ms());
     if (active_series != nullptr) {
@@ -291,7 +287,7 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
     // residue), so the bias/clip cannot be folded into the spMM store.
     const std::size_t pruned = post_convergence_layer(
         net.weight(i), &net.weight_csc(i), net.bias(i), net.ymax(), prune,
-        batch, scratch, post_policy,
+        batch, scratch, params_.spmm,
         params_.divergence_guard ? &diverged : nullptr);
     if (diverged) {
       fallback_from = static_cast<int>(i);
@@ -353,7 +349,7 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
         result.output.reset(rows, batch_cols, sparse::ZeroFill::kNo);
         dst = &result.output;
       }
-      pre_convergence_step(net, i, pre_policy, *cur, *dst);
+      pre_convergence_step(net, i, params_.spmm, *cur, *dst);
       if (i + 1 < layers) std::swap(cur, nxt);
       result.layer_ms.push_back(layer.elapsed_ms());
       if (active_series != nullptr) {

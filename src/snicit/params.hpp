@@ -7,40 +7,6 @@
 
 namespace snicit::core {
 
-/// Which spMM kernel drives the pre-convergence phase (§3.1: SNICIT does
-/// not constrain the kernel; any champion implementation can be dropped
-/// in). These mirror the library's kernel family in sparse/spmm.hpp.
-enum class PreKernel {
-  kGather,   // CSR gather, dense input
-  kScatter,  // CSC scatter, skips zero activations (the fastest on
-             // SDGC-style workloads, where activations go sparse)
-  kTiled,    // cache-blocked CSR gather
-  kAuto,     // defer to SnicitParams::spmm — cost-model selection over the
-             // full kernel tier (default)
-};
-
-/// The SpmmPolicy a PreKernel choice stands for: the legacy enum values
-/// pin their scalar arm; kAuto hands the decision to `base` (which may
-/// itself force any arm of the optimized tier via its variant field).
-inline sparse::SpmmPolicy effective_spmm_policy(
-    PreKernel kernel, const sparse::SpmmPolicy& base) {
-  sparse::SpmmPolicy policy = base;
-  switch (kernel) {
-    case PreKernel::kGather:
-      policy.variant = sparse::SpmmVariant::kGatherScalar;
-      break;
-    case PreKernel::kScatter:
-      policy.variant = sparse::SpmmVariant::kScatter;
-      break;
-    case PreKernel::kTiled:
-      policy.variant = sparse::SpmmVariant::kTiled;
-      break;
-    case PreKernel::kAuto:
-      break;
-  }
-  return policy;
-}
-
 struct SnicitParams {
   /// t — index of the threshold layer where conversion happens. The paper
   /// uses 30 for SDGC benchmarks and the largest even integer <= l/2 for
@@ -81,19 +47,12 @@ struct SnicitParams {
   /// or below this level for two consecutive layers.
   float auto_level = 0.05f;
 
-  PreKernel pre_kernel = PreKernel::kAuto;
-
-  /// Kernel for the load-reduced spMM in post-convergence update. kScatter
-  /// skips zero entries inside residue columns, matching the paper's use
-  /// of sparsity-exploiting champion kernels; kGather touches full weight
-  /// rows per non-empty column; kTiled runs as blocked gather over the
-  /// active-column subset; kAuto (default) picks per layer from measured
-  /// residue density.
-  PreKernel post_kernel = PreKernel::kAuto;
-
-  /// Kernel-tier policy behind kAuto: cost-model selection over scalar /
-  /// SIMD / threaded / tiled / scatter arms, or a forced arm when
-  /// spmm.variant != kAuto (the regression suites sweep arms this way).
+  /// spMM kernel choice for both phases (§3.1: SNICIT does not constrain
+  /// the kernel; any champion implementation can be dropped in). The
+  /// default lets the cost model pick per layer from measured activation
+  /// density — in the post-convergence phase that is the residue density
+  /// of the non-empty columns; spmm.variant != kAuto forces one arm
+  /// everywhere (the regression suites sweep arms this way).
   sparse::SpmmPolicy spmm = {};
 
   /// Adaptive pruning (extension of §3.3.1): when > 0, the engine derives

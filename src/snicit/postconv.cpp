@@ -18,11 +18,11 @@ inline float clip(float x, float ymax) {
   return std::min(std::max(x, 0.0f), ymax);
 }
 
-/// The Eq. (5)/Algorithm 3 update shared by both spMM front ends: one
-/// block per non-empty column. Residue updates read the spMM result of
-/// their centroid column; centroids are always non-empty, so their
-/// scratch column is valid in the same pass. Returns how many residue
-/// entries the prune threshold zeroed (nonzero values within threshold).
+/// The Eq. (5)/Algorithm 3 update: one block per non-empty column.
+/// Residue updates read the spMM result of their centroid column;
+/// centroids are always non-empty, so their scratch column is valid in the
+/// same pass. Returns how many residue entries the prune threshold zeroed
+/// (nonzero values within threshold).
 std::size_t update_centroids_and_residues(std::span<const float> bias,
                                           float ymax, float prune_threshold,
                                           CompressedBatch& batch,
@@ -94,36 +94,6 @@ void check_shapes(std::span<const float> bias, const CompressedBatch& batch,
 }  // namespace
 
 std::size_t post_convergence_layer(const CsrMatrix& w,
-                                   std::span<const float> bias, float ymax,
-                                   float prune_threshold,
-                                   CompressedBatch& batch,
-                                   DenseMatrix& scratch) {
-  check_shapes(bias, batch, scratch);
-  SNICIT_TRACE_SPAN("postconv_layer", "snicit");
-  // Load-reduced spMM (§3.3.1): multiply only non-empty columns. Empty
-  // residue columns stay empty under Eq. (5) — σ(c+0+b) − σ(c+b) = 0 — so
-  // skipping them is exact, not an approximation.
-  sparse::spmm_gather_cols(w, batch.yhat, batch.ne_idx, scratch);
-  return update_centroids_and_residues(bias, ymax, prune_threshold, batch,
-                                       scratch, nullptr);
-}
-
-std::size_t post_convergence_layer(const CscMatrix& w_csc,
-                                   std::span<const float> bias, float ymax,
-                                   float prune_threshold,
-                                   CompressedBatch& batch,
-                                   DenseMatrix& scratch) {
-  check_shapes(bias, batch, scratch);
-  SNICIT_TRACE_SPAN("postconv_layer", "snicit");
-  // Scatter front end: additionally skips zero entries *inside* residue
-  // columns, so the multiply cost tracks the compressed nnz, not the
-  // non-empty column count alone.
-  sparse::spmm_scatter_cols(w_csc, batch.yhat, batch.ne_idx, scratch);
-  return update_centroids_and_residues(bias, ymax, prune_threshold, batch,
-                                       scratch, nullptr);
-}
-
-std::size_t post_convergence_layer(const CsrMatrix& w,
                                    const CscMatrix* w_csc,
                                    std::span<const float> bias, float ymax,
                                    float prune_threshold,
@@ -140,6 +110,9 @@ std::size_t post_convergence_layer(const CsrMatrix& w,
   const double density = sparse::estimate_column_density(
       batch.yhat, std::span<const sparse::Index>(batch.ne_idx.data(),
                                                  probe_n));
+  // Load-reduced spMM (§3.3.1): multiply only non-empty columns. Empty
+  // residue columns stay empty under Eq. (5) — σ(c+0+b) − σ(c+b) = 0 — so
+  // skipping them is exact, not an approximation.
   sparse::spmm_dispatch_cols(w, w_csc, batch.yhat, batch.ne_idx, scratch,
                              density, policy);
   return update_centroids_and_residues(bias, ymax, prune_threshold, batch,

@@ -29,26 +29,12 @@ using sparse::CsrMatrix;
 /// the per-layer "residues pruned" workload counter (necessarily 0 when
 /// prune_threshold is 0, since only already-zero values satisfy |v| <= 0).
 ///
-/// This overload uses the CSR gather kernel for the load-reduced spMM.
-std::size_t post_convergence_layer(const CsrMatrix& w,
-                                   std::span<const float> bias, float ymax,
-                                   float prune_threshold,
-                                   CompressedBatch& batch,
-                                   DenseMatrix& scratch);
-
-/// Same, using the CSC scatter kernel, which also skips zero *entries*
-/// inside the residue columns — the configuration the paper runs, where
-/// the off-the-shelf champion kernels exploit activation sparsity.
-std::size_t post_convergence_layer(const CscMatrix& w_csc,
-                                   std::span<const float> bias, float ymax,
-                                   float prune_threshold,
-                                   CompressedBatch& batch,
-                                   DenseMatrix& scratch);
-
-/// Policy-driven front end: the load-reduced spMM runs whatever kernel the
-/// cost model (or a forced policy.variant) picks from the measured residue
-/// density — including the SIMD-blocked and row-parallel tiers. `w_csc`
-/// may be null when no CSC mirror exists (excludes the scatter arms).
+/// The load-reduced spMM runs whatever kernel the cost model (or a forced
+/// policy.variant) picks from the measured residue density. The scatter
+/// arms also skip zero *entries* inside residue columns — the
+/// configuration the paper runs, where the off-the-shelf champion kernels
+/// exploit activation sparsity. `w_csc` may be null when no CSC mirror
+/// exists (excludes the scatter arms).
 ///
 /// When `diverged` is non-null it is set to true if any updated centroid
 /// or residue value is NaN or outside its clipped bound (|v| <= ymax) —

@@ -122,8 +122,6 @@ dnn::RunResult WarmSnicitEngine::run(const dnn::SparseDnn& net,
   // Warm run: pre-convergence, then map straight onto cached centroids.
   // CSC is always mirrored — the auto policy may pick a scatter arm.
   net.ensure_csc();
-  const sparse::SpmmPolicy pre_policy =
-      effective_spmm_policy(params_.pre_kernel, params_.spmm);
   dnn::RunResult result;
   platform::Stopwatch stage;
   dnn::DenseMatrix cur = input;
@@ -141,7 +139,7 @@ dnn::RunResult WarmSnicitEngine::run(const dnn::SparseDnn& net,
     // to the split multiply + epilogue pass).
     const sparse::BiasAct epi{net.bias(i), 0.0f, net.ymax()};
     sparse::spmm_dispatch_fused(net.weight(i), &net.weight_csc(i), cur,
-                                next, density, epi, pre_policy);
+                                next, density, epi, params_.spmm);
     std::swap(cur, next);
     result.layer_ms.push_back(layer.elapsed_ms());
   }
@@ -154,14 +152,12 @@ dnn::RunResult WarmSnicitEngine::run(const dnn::SparseDnn& net,
 
   stage.reset();
   dnn::DenseMatrix scratch(batch.yhat.rows(), batch.yhat.cols());
-  const sparse::SpmmPolicy post_policy =
-      effective_spmm_policy(params_.post_kernel, params_.spmm);
   int since_refresh = 0;
   for (std::size_t i = t; i < layers; ++i) {
     platform::Stopwatch layer;
     post_convergence_layer(net.weight(i), &net.weight_csc(i), net.bias(i),
                            net.ymax(), params_.prune_threshold, batch,
-                           scratch, post_policy);
+                           scratch, params_.spmm);
     if (++since_refresh >= params_.ne_refresh_interval) {
       batch.refresh_ne_idx();
       since_refresh = 0;

@@ -76,7 +76,7 @@ struct ScalarBiasEpi {
 /// Applies the epilogue to out[r0, r1) of one contiguous column. Every
 /// kernel core funnels its epilogue through this sweep rather than the
 /// store itself: the stores of a core are scattered (lane loops, strided
-/// tiles), so an epi call per store is scalar work, while this loop is a
+/// panel write-outs), so an epi call per store is scalar work, while this loop is a
 /// straight add/min/max chain over contiguous floats the compiler
 /// vectorizes — measured, the per-store form lost up to ~25% of kernel
 /// time versus the split pass it was meant to beat. The sweep runs right
@@ -379,48 +379,6 @@ void scatter_blocked(const CscMatrix& w, const DenseMatrix& y,
   });
 }
 
-/// One batch-column tile of the tiled gather. Untemplated for the same
-/// core-parity reason as gather_column: fused and plain runs must execute
-/// this exact instantiation.
-void tiled_tile(const CsrMatrix& w, const DenseMatrix& y, DenseMatrix& out,
-                std::size_t j0, std::size_t j1) {
-  const std::size_t width = j1 - j0;
-  float acc[64];
-  const Offset* SNICIT_RESTRICT rp = w.row_ptr().data();
-  const Index* SNICIT_RESTRICT ci = w.col_idx().data();
-  const float* SNICIT_RESTRICT vs = w.values().data();
-  for (Index i = 0; i < w.rows(); ++i) {
-    std::fill(acc, acc + width, 0.0f);
-    for (Offset k = rp[i]; k < rp[i + 1]; ++k) {
-      const float wv = vs[k];
-      const float* SNICIT_RESTRICT yrow = y.data() + ci[k];
-      SNICIT_SIMD_LOOP
-      for (std::size_t j = 0; j < width; ++j) {
-        acc[j] += wv * yrow[(j0 + j) * y.rows()];
-      }
-    }
-    for (std::size_t j = 0; j < width; ++j) {
-      out.at(static_cast<std::size_t>(i), j0 + j) = acc[j];
-    }
-  }
-}
-
-template <typename Epi>
-void tiled_impl(const CsrMatrix& w, const DenseMatrix& y, DenseMatrix& out,
-                std::size_t tile, Epi epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  SNICIT_CHECK(tile >= 1 && tile <= 64, "tile must be in [1, 64]");
-  const std::size_t num_tiles = (y.cols() + tile - 1) / tile;
-  platform::parallel_for(0, num_tiles, [&](std::size_t tidx) {
-    const std::size_t j0 = tidx * tile;
-    const std::size_t j1 = std::min(y.cols(), j0 + tile);
-    tiled_tile(w, y, out, j0, j1);
-    for (std::size_t j = j0; j < j1; ++j) {
-      epi_sweep(out.col(j), 0, w.rows(), epi);
-    }
-  });
-}
-
 }  // namespace
 
 bool simd_compiled() {
@@ -451,11 +409,6 @@ void spmm_gather_cols(const CsrMatrix& w, const DenseMatrix& y,
       gather_column(w, y.col(j), out.col(j));
     }
   });
-}
-
-void spmm_tiled(const CsrMatrix& w, const DenseMatrix& y, DenseMatrix& out,
-                std::size_t tile) {
-  tiled_impl(w, y, out, tile, NoEpi{});
 }
 
 void spmm_scatter(const CscMatrix& w, const DenseMatrix& y, DenseMatrix& out) {
@@ -546,12 +499,6 @@ void spmm_gather_cols_fused(const CsrMatrix& w, const DenseMatrix& y,
       }
     });
   });
-}
-
-void spmm_tiled_fused(const CsrMatrix& w, const DenseMatrix& y,
-                      DenseMatrix& out, const BiasAct& epi, std::size_t tile) {
-  with_epi(epi, w.rows(),
-           [&](auto e) { tiled_impl(w, y, out, tile, e); });
 }
 
 void spmm_scatter_fused(const CscMatrix& w, const DenseMatrix& y,

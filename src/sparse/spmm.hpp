@@ -3,8 +3,6 @@
 //
 // The scalar strategies span the optimisation space XY-2021 explores on GPU:
 //   * gather   — CSR, per output column, per output row (dense-input case)
-//   * tiled    — CSR, amortises each weight-row traversal over a tile of
-//                batch columns (cache blocking)
 //   * scatter  — CSC, skips zero input activations entirely (the
 //                activation-sparsity trick; wins when Y is sparse)
 //   * gather over a column subset — SNICIT's load-reduced spMM, §3.3.1
@@ -60,11 +58,6 @@ void spmm_gather(const CsrMatrix& w, const DenseMatrix& y, DenseMatrix& out);
 /// of `out` are left untouched (callers own their contents).
 void spmm_gather_cols(const CsrMatrix& w, const DenseMatrix& y,
                       std::span<const Index> columns, DenseMatrix& out);
-
-/// Cache-blocked gather: each weight row is streamed once per tile of
-/// `tile` batch columns.
-void spmm_tiled(const CsrMatrix& w, const DenseMatrix& y, DenseMatrix& out,
-                std::size_t tile = 16);
 
 /// Scatter kernel over CSC weights: per batch column, only nonzero input
 /// activations contribute, so cost scales with activation density.
@@ -128,10 +121,6 @@ void spmm_gather_fused(const CsrMatrix& w, const DenseMatrix& y,
 void spmm_gather_cols_fused(const CsrMatrix& w, const DenseMatrix& y,
                             std::span<const Index> columns, DenseMatrix& out,
                             const BiasAct& epi);
-
-void spmm_tiled_fused(const CsrMatrix& w, const DenseMatrix& y,
-                      DenseMatrix& out, const BiasAct& epi,
-                      std::size_t tile = 16);
 
 void spmm_scatter_fused(const CscMatrix& w, const DenseMatrix& y,
                         DenseMatrix& out, const BiasAct& epi);

@@ -18,7 +18,6 @@ const char* to_string(SpmmVariant v) {
     case SpmmVariant::kGatherScalar: return "gather";
     case SpmmVariant::kGatherSimd: return "gather_simd";
     case SpmmVariant::kGatherThreaded: return "gather_threaded";
-    case SpmmVariant::kTiled: return "tiled";
     case SpmmVariant::kScatter: return "scatter";
     case SpmmVariant::kScatterSimd: return "scatter_simd";
   }
@@ -81,14 +80,21 @@ SpmmPolicy SpmmPolicy::from_env() {
   if (!name.empty()) {
     apply_spmm_spec(name, policy);
   }
-  const auto tile = platform::env_int("SNICIT_SPMM_TILE", 0);
-  if (tile >= 1 && tile <= 64) {
-    policy.tile = static_cast<std::size_t>(tile);
-  }
   return policy;
 }
 
 namespace {
+
+/// Fixed per-(nnz x column) overhead of the scatter arms relative to
+/// gather: branch/zero-test cost on top of the accumulator zeroing the
+/// model derives from rows/nnz.
+constexpr double kScatterSetupCost = 0.15;
+/// Below this many active columns the blocked arms stop paying for
+/// themselves (lane underfill) and the model treats them as scalar.
+constexpr std::size_t kMinColsForBlocking = 4;
+/// The row-parallel arm needs at least this many output rows before
+/// splitting rows across the pool beats column parallelism.
+constexpr std::size_t kRowParallelMinRows = 256;
 
 /// Lanes a blocked kernel actually fills for this batch width.
 std::size_t lane_width(std::size_t batch_cols) {
@@ -105,8 +111,8 @@ double amortised(std::size_t bw) {
   return 0.12 + 0.88 / static_cast<double>(bw);
 }
 
-std::size_t pool_size(const SpmmPolicy& policy) {
-  if (!policy.allow_threads || platform::in_serial_region()) return 1;
+std::size_t pool_size() {
+  if (platform::in_serial_region()) return 1;
   return platform::ThreadPool::global().size();
 }
 
@@ -125,13 +131,12 @@ double spmm_epilogue_cost(const SpmmProblem& p, const SpmmPolicy& policy) {
 
 namespace {
 
-double variant_cost_base(SpmmVariant v, const SpmmProblem& p,
-                         const SpmmPolicy& policy) {
+double variant_cost_base(SpmmVariant v, const SpmmProblem& p) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   if (p.batch_cols == 0) return 0.0;
-  const std::size_t pool = pool_size(policy);
+  const std::size_t pool = pool_size();
   const std::size_t bw = lane_width(p.batch_cols);
-  const bool blockable = p.batch_cols >= policy.min_cols_for_blocking;
+  const bool blockable = p.batch_cols >= kMinColsForBlocking;
   // Parallel slots each driver can actually occupy.
   const auto slots = [&](std::size_t work_items) {
     return static_cast<double>(
@@ -140,9 +145,9 @@ double variant_cost_base(SpmmVariant v, const SpmmProblem& p,
   const std::size_t groups = (p.batch_cols + 7) / 8;
   // Scatter zeroes its output column before accumulating: rows writes per
   // column, i.e. rows/nnz per unit of gather work, plus the constant
-  // zero-test overhead from the policy.
+  // zero-test overhead.
   const double scatter_setup =
-      policy.scatter_setup_cost +
+      kScatterSetupCost +
       static_cast<double>(p.rows) /
           static_cast<double>(std::max<std::size_t>(1, p.nnz));
   switch (v) {
@@ -154,20 +159,9 @@ double variant_cost_base(SpmmVariant v, const SpmmProblem& p,
       // Row split keeps every thread busy regardless of batch width, but
       // re-reads the column-group pointers per row range; only worth it
       // for tall-enough weights.
-      if (p.rows < policy.row_parallel_min_rows && pool > 1) return kInf;
+      if (p.rows < kRowParallelMinRows && pool > 1) return kInf;
       return (blockable ? amortised(bw) : 1.0) / static_cast<double>(pool) +
              0.02;
-    }
-    case SpmmVariant::kTiled: {
-      const double tw = static_cast<double>(
-          std::min<std::size_t>(policy.tile, p.batch_cols));
-      const std::size_t tiles =
-          (p.batch_cols + policy.tile - 1) / std::max<std::size_t>(1, policy.tile);
-      // Runtime-width inner loop: same amortisation idea as the blocked
-      // kernels but with a variable trip count the compiler cannot keep
-      // fully register-resident (measures ~0.65x scalar gather at the
-      // default tile on the bench grid).
-      return (0.60 + 0.40 / tw) / slots(tiles);
     }
     case SpmmVariant::kScatter:
       if (!p.has_csc) return kInf;
@@ -196,7 +190,7 @@ double spmm_variant_cost(SpmmVariant v, const SpmmProblem& p,
   // same number of output elements), so it shifts the whole cost surface
   // without disturbing which arm wins — but keeps the reported costs
   // honest for the bench grid and lets callers compare fused vs split.
-  return variant_cost_base(v, p, policy) + spmm_epilogue_cost(p, policy);
+  return variant_cost_base(v, p) + spmm_epilogue_cost(p, policy);
 }
 
 SpmmVariant select_spmm_variant(const SpmmProblem& p,
@@ -245,7 +239,6 @@ SpmmVariant spmm_dispatch(const CsrMatrix& w, const CscMatrix* w_csc,
     case SpmmVariant::kGatherScalar: spmm_gather(w, y, out); break;
     case SpmmVariant::kGatherSimd: spmm_gather_simd(w, y, out); break;
     case SpmmVariant::kGatherThreaded: spmm_gather_threaded(w, y, out); break;
-    case SpmmVariant::kTiled: spmm_tiled(w, y, out, policy.tile); break;
     case SpmmVariant::kScatter: spmm_scatter(require_csc(w_csc), y, out); break;
     case SpmmVariant::kScatterSimd:
       spmm_scatter_simd(require_csc(w_csc), y, out);
@@ -276,11 +269,6 @@ SpmmVariant spmm_dispatch_cols(const CsrMatrix& w, const CscMatrix* w_csc,
       break;
     case SpmmVariant::kGatherThreaded:
       spmm_gather_cols_threaded(w, y, columns, out);
-      break;
-    case SpmmVariant::kTiled:
-      // No subset form of the tiled kernel: the 8-wide blocked gather is
-      // the same cache-blocking idea with a fixed tile.
-      spmm_gather_cols_simd(w, y, columns, out);
       break;
     case SpmmVariant::kScatter:
       spmm_scatter_cols(require_csc(w_csc), y, columns, out);
@@ -316,7 +304,6 @@ SpmmVariant spmm_dispatch_fused(const CsrMatrix& w, const CscMatrix* w_csc,
       case SpmmVariant::kGatherThreaded:
         spmm_gather_threaded(w, y, out);
         break;
-      case SpmmVariant::kTiled: spmm_tiled(w, y, out, policy.tile); break;
       case SpmmVariant::kScatter:
         spmm_scatter(require_csc(w_csc), y, out);
         break;
@@ -339,9 +326,6 @@ SpmmVariant spmm_dispatch_fused(const CsrMatrix& w, const CscMatrix* w_csc,
         break;
       case SpmmVariant::kGatherThreaded:
         spmm_gather_threaded_fused(w, y, out, epi);
-        break;
-      case SpmmVariant::kTiled:
-        spmm_tiled_fused(w, y, out, epi, policy.tile);
         break;
       case SpmmVariant::kScatter:
         spmm_scatter_fused(require_csc(w_csc), y, out, epi);
@@ -384,11 +368,6 @@ SpmmVariant spmm_dispatch_cols_fused(const CsrMatrix& w,
       case SpmmVariant::kGatherThreaded:
         spmm_gather_cols_threaded(w, y, columns, out);
         break;
-      case SpmmVariant::kTiled:
-        // No subset form of the tiled kernel: the 8-wide blocked gather is
-        // the same cache-blocking idea with a fixed tile.
-        spmm_gather_cols_simd(w, y, columns, out);
-        break;
       case SpmmVariant::kScatter:
         spmm_scatter_cols(require_csc(w_csc), y, columns, out);
         break;
@@ -409,9 +388,6 @@ SpmmVariant spmm_dispatch_cols_fused(const CsrMatrix& w,
         break;
       case SpmmVariant::kGatherThreaded:
         spmm_gather_cols_threaded_fused(w, y, columns, out, epi);
-        break;
-      case SpmmVariant::kTiled:
-        spmm_gather_cols_simd_fused(w, y, columns, out, epi);
         break;
       case SpmmVariant::kScatter:
         spmm_scatter_cols_fused(require_csc(w_csc), y, columns, out, epi);

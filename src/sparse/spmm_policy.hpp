@@ -5,13 +5,13 @@
 // density; baselines/autotune measures instead of predicting. Both engines
 // previously hard-coded a two-or-three-arm space. This header owns the
 // *full* space — scalar gather, register-blocked SIMD gather, row-parallel
-// threaded gather, cache-tiled gather, scatter, blocked scatter — plus the
-// analytic cost model that picks among them from the facts every engine
-// already has on hand: measured activation density, weight nnz/row, batch
-// width, and thread-pool size. A forced `SpmmPolicy::variant` pins one arm
-// for the whole run (the regression suites sweep every arm this way), and
-// SNICIT_SPMM / SNICIT_SPMM_TILE give the same control from the
-// environment for serving deployments.
+// threaded gather, scatter, blocked scatter — plus the analytic cost model
+// that picks among them from the facts every engine already has on hand:
+// measured activation density, weight nnz/row, batch width, and
+// thread-pool size. `SpmmPolicy` is the only input to that choice: its
+// `variant` pins one arm for the whole run (the regression suites sweep
+// every arm this way) or leaves it to the model, and SNICIT_SPMM gives the
+// same control from the environment for serving deployments.
 //
 // The policy additionally carries an *epilogue* dimension: the dispatch
 // entry points that take a bias+activation epilogue
@@ -40,13 +40,12 @@ enum class SpmmVariant : int {
   kGatherScalar = 0,   // CSR gather, column-parallel (the scalar reference)
   kGatherSimd = 1,     // register-blocked gather, column-group-parallel
   kGatherThreaded = 2, // register-blocked gather, row-range-parallel
-  kTiled = 3,          // cache-tiled gather (runtime tile width)
-  kScatter = 4,        // CSC scatter, skips zero activations per column
-  kScatterSimd = 5,    // register-blocked scatter, group-level zero skip
+  kScatter = 3,        // CSC scatter, skips zero activations per column
+  kScatterSimd = 4,    // register-blocked scatter, group-level zero skip
 };
 
 /// Number of concrete (non-auto) variants.
-inline constexpr int kNumSpmmVariants = 6;
+inline constexpr int kNumSpmmVariants = 5;
 
 /// Stable lowercase name ("gather_simd", ...), used by flags/env/JSON.
 const char* to_string(SpmmVariant v);
@@ -71,28 +70,13 @@ std::optional<SpmmEpilogue> parse_spmm_epilogue(std::string_view name);
 struct SpmmPolicy {
   /// kAuto defers to the cost model; anything else forces that kernel.
   SpmmVariant variant = SpmmVariant::kAuto;
-  /// Batch-tile width of the kTiled arm (clamped to [1, 64] by the kernel).
-  std::size_t tile = 16;
-  /// Fixed per-(nnz x column) overhead of the scatter arms relative to
-  /// gather: branch/zero-test cost on top of the accumulator zeroing the
-  /// model derives from rows/nnz.
-  double scatter_setup_cost = 0.15;
-  /// Below this many active columns the blocked arms stop paying for
-  /// themselves (lane underfill) and the model treats them as scalar.
-  std::size_t min_cols_for_blocking = 4;
-  /// Row-parallel arm needs at least this many output rows per the model
-  /// before splitting rows across the pool beats column parallelism.
-  std::size_t row_parallel_min_rows = 256;
-  /// When false the model prices every arm at pool size 1 (forced arms
-  /// still run; their inner parallel loops degrade to serial inline).
-  bool allow_threads = true;
   /// Epilogue mode for the fused dispatch entry points. kFused applies
   /// bias + clipped ReLU at the kernel store; kSplit keeps the separate
   /// apply_bias_activation pass (same bits, one extra sweep over Y).
   SpmmEpilogue epilogue = SpmmEpilogue::kFused;
 
-  /// Policy from SNICIT_SPMM (a "VARIANT[+EPILOGUE]" spec) and
-  /// SNICIT_SPMM_TILE (int); unset/invalid fields keep the defaults above.
+  /// Policy from SNICIT_SPMM (a "VARIANT[+EPILOGUE]" spec); unset or
+  /// invalid specs keep the defaults above.
   static SpmmPolicy from_env();
 };
 
@@ -119,7 +103,9 @@ struct SpmmProblem {
 double spmm_epilogue_cost(const SpmmProblem& p, const SpmmPolicy& policy);
 
 /// Relative cost of running `v` on `p` (scalar gather == 1.0 per
-/// nnz x column; lower is better). Exposed for tests and the bench grid.
+/// nnz x column; lower is better). Parallel arms are priced at the global
+/// pool size, or at one thread inside a platform::ScopedSerialRegion.
+/// Exposed for tests and the bench grid.
 double spmm_variant_cost(SpmmVariant v, const SpmmProblem& p,
                          const SpmmPolicy& policy);
 
@@ -139,7 +125,6 @@ SpmmVariant spmm_dispatch(const CsrMatrix& w, const CscMatrix* w_csc,
                           double density, const SpmmPolicy& policy = {});
 
 /// Column-subset dispatch (SNICIT's load-reduced spMM, partition engines).
-/// kTiled has no subset form and runs as blocked gather over the subset.
 SpmmVariant spmm_dispatch_cols(const CsrMatrix& w, const CscMatrix* w_csc,
                                const DenseMatrix& y,
                                std::span<const Index> columns,

@@ -101,7 +101,7 @@ ServeReport serve_columns(dnn::InferenceEngine& engine,
 
 class BatcherDeterminism
     : public ::testing::TestWithParam<
-          std::tuple<int, int, const char*, double>> {};
+          std::tuple<int, int, std::string, double>> {};
 
 TEST_P(BatcherDeterminism, BitIdenticalToSerialReference) {
   const int order_variant = std::get<0>(GetParam());
@@ -160,7 +160,8 @@ INSTANTIATE_TEST_SUITE_P(
     Fuzz, BatcherDeterminism,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),   // arrival orders
                        ::testing::Values(1, 3),         // worker counts
-                       ::testing::Values("fifo", "similarity"),
+                       ::testing::Values(std::string("fifo"),
+                                         std::string("similarity")),
                        ::testing::Values(0.0, 0.5)));   // batch timeouts
 
 // --- SNICIT engine: deterministic reassembly per formed batch --------

@@ -54,66 +54,78 @@ Evolution make_evolution(std::uint64_t seed) {
 class InvariantSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(InvariantSweep, HoldThroughPostConvergence) {
-  auto ev = make_evolution(static_cast<std::uint64_t>(GetParam()) * 31);
-  auto batch = ev.initial;
-  const auto mapper_snapshot = batch.mapper;
-  const auto centroid_snapshot = batch.centroids;
+  const auto ev = make_evolution(static_cast<std::uint64_t>(GetParam()) * 31);
+  // Scalar gather is the CSR form; the three remaining non-scalar-scatter
+  // arms must hold the same invariants.
+  for (const auto arm :
+       {sparse::SpmmVariant::kGatherScalar, sparse::SpmmVariant::kGatherSimd,
+        sparse::SpmmVariant::kGatherThreaded,
+        sparse::SpmmVariant::kScatterSimd}) {
+    SCOPED_TRACE(sparse::to_string(arm));
+    sparse::SpmmPolicy policy;
+    policy.variant = arm;
+    auto batch = ev.initial;
+    const auto mapper_snapshot = batch.mapper;
+    const auto centroid_snapshot = batch.centroids;
 
-  // Exact per-layer evolution of the original centroid columns (I4).
-  dnn::DenseMatrix cent_exact(ev.y_t.rows(), batch.centroids.size());
-  for (std::size_t k = 0; k < batch.centroids.size(); ++k) {
-    std::copy_n(ev.y_t.col(static_cast<std::size_t>(batch.centroids[k])),
-                ev.y_t.rows(), cent_exact.col(k));
-  }
-
-  dnn::DenseMatrix exact = ev.y_t;  // full exact trajectory (I5)
-  dnn::DenseMatrix scratch(ev.y_t.rows(), ev.y_t.cols());
-  std::vector<std::uint8_t> was_empty(batch.batch(), 0);
-
-  for (std::size_t l = ev.t; l < ev.net.num_layers(); ++l) {
-    for (std::size_t j = 0; j < batch.batch(); ++j) {
-      if (!batch.is_centroid(j) && batch.ne_rec[j] == 0) was_empty[j] = 1;
-    }
-
-    post_convergence_layer(ev.net.weight(l), ev.net.bias(l), ev.net.ymax(),
-                           0.0f, batch, scratch);
-    batch.refresh_ne_idx();
-    exact = dnn::reference_forward(ev.net, exact, l, l + 1);
-    cent_exact = dnn::reference_forward(ev.net, cent_exact, l, l + 1);
-
-    // I1: M and y* unchanged.
-    ASSERT_EQ(batch.mapper, mapper_snapshot);
-    ASSERT_EQ(batch.centroids, centroid_snapshot);
-
-    // I2: centroids non-empty and listed.
-    for (sparse::Index cent : batch.centroids) {
-      EXPECT_EQ(batch.ne_rec[static_cast<std::size_t>(cent)], 1);
-      EXPECT_TRUE(std::find(batch.ne_idx.begin(), batch.ne_idx.end(),
-                            cent) != batch.ne_idx.end());
-    }
-
-    // I3: emptiness is absorbing (no pruning involved).
-    for (std::size_t j = 0; j < batch.batch(); ++j) {
-      if (was_empty[j] != 0) {
-        EXPECT_EQ(batch.ne_rec[j], 0) << "column " << j << " revived";
-        EXPECT_EQ(batch.yhat.column_nonzeros(j), 0u);
-      }
-    }
-
-    // I4: centroid columns track exact feed-forward bitwise (gather
-    // kernel on both sides, same accumulation order).
+    // Exact per-layer evolution of the original centroid columns (I4).
+    dnn::DenseMatrix cent_exact(ev.y_t.rows(), batch.centroids.size());
     for (std::size_t k = 0; k < batch.centroids.size(); ++k) {
-      const auto cent = static_cast<std::size_t>(batch.centroids[k]);
-      for (std::size_t r = 0; r < ev.y_t.rows(); ++r) {
-        ASSERT_FLOAT_EQ(batch.yhat.at(r, cent), cent_exact.at(r, k))
-            << "layer " << l;
-      }
+      std::copy_n(ev.y_t.col(static_cast<std::size_t>(batch.centroids[k])),
+                  ev.y_t.rows(), cent_exact.col(k));
     }
 
-    // I5: recovery approximates the exact activations at every layer.
-    const auto recovered = recover_results(batch);
-    EXPECT_LE(dnn::DenseMatrix::max_abs_diff(recovered, exact), 2e-3f)
-        << "layer " << l;
+    dnn::DenseMatrix exact = ev.y_t;  // full exact trajectory (I5)
+    dnn::DenseMatrix scratch(ev.y_t.rows(), ev.y_t.cols());
+    std::vector<std::uint8_t> was_empty(batch.batch(), 0);
+
+    for (std::size_t l = ev.t; l < ev.net.num_layers(); ++l) {
+      for (std::size_t j = 0; j < batch.batch(); ++j) {
+        if (!batch.is_centroid(j) && batch.ne_rec[j] == 0) was_empty[j] = 1;
+      }
+
+      post_convergence_layer(ev.net.weight(l), &ev.net.weight_csc(l),
+                             ev.net.bias(l), ev.net.ymax(), 0.0f, batch,
+                             scratch, policy);
+      batch.refresh_ne_idx();
+      exact = dnn::reference_forward(ev.net, exact, l, l + 1);
+      cent_exact = dnn::reference_forward(ev.net, cent_exact, l, l + 1);
+
+      // I1: M and y* unchanged.
+      ASSERT_EQ(batch.mapper, mapper_snapshot);
+      ASSERT_EQ(batch.centroids, centroid_snapshot);
+
+      // I2: centroids non-empty and listed.
+      for (sparse::Index cent : batch.centroids) {
+        EXPECT_EQ(batch.ne_rec[static_cast<std::size_t>(cent)], 1);
+        EXPECT_TRUE(std::find(batch.ne_idx.begin(), batch.ne_idx.end(),
+                              cent) != batch.ne_idx.end());
+      }
+
+      // I3: emptiness is absorbing (no pruning involved).
+      for (std::size_t j = 0; j < batch.batch(); ++j) {
+        if (was_empty[j] != 0) {
+          EXPECT_EQ(batch.ne_rec[j], 0) << "column " << j << " revived";
+          EXPECT_EQ(batch.yhat.column_nonzeros(j), 0u);
+        }
+      }
+
+      // I4: centroid columns track exact feed-forward. Every arm sums
+      // each element in the reference gather's nnz order; scatter_simd
+      // differs only in skipping some ±0 products of zero activations.
+      for (std::size_t k = 0; k < batch.centroids.size(); ++k) {
+        const auto cent = static_cast<std::size_t>(batch.centroids[k]);
+        for (std::size_t r = 0; r < ev.y_t.rows(); ++r) {
+          ASSERT_FLOAT_EQ(batch.yhat.at(r, cent), cent_exact.at(r, k))
+              << "layer " << l;
+        }
+      }
+
+      // I5: recovery approximates the exact activations at every layer.
+      const auto recovered = recover_results(batch);
+      EXPECT_LE(dnn::DenseMatrix::max_abs_diff(recovered, exact), 2e-3f)
+          << "layer " << l;
+    }
   }
 }
 

@@ -12,6 +12,26 @@ namespace snicit::core {
 namespace {
 
 using dnn::SparseDnn;
+using sparse::SpmmVariant;
+
+/// Advances `batch` through layer `l` with the load-reduced spMM forced to
+/// `arm`: kGatherScalar is the CSR gather form, kScatter the CSC scatter
+/// form.
+std::size_t advance(const SparseDnn& net, std::size_t l, float prune,
+                    CompressedBatch& batch, DenseMatrix& scratch,
+                    SpmmVariant arm = SpmmVariant::kGatherScalar) {
+  sparse::SpmmPolicy policy;
+  policy.variant = arm;
+  return post_convergence_layer(net.weight(l), &net.weight_csc(l),
+                                net.bias(l), net.ymax(), prune, batch,
+                                scratch, policy);
+}
+
+/// The CSR-form tests' arm loop: scalar gather plus the three remaining
+/// arms that are not the scalar scatter.
+constexpr SpmmVariant kArms[] = {
+    SpmmVariant::kGatherScalar, SpmmVariant::kGatherSimd,
+    SpmmVariant::kGatherThreaded, SpmmVariant::kScatterSimd};
 
 /// Builds a small SDGC-style net and a clustered input batch, runs the
 /// exact reference to layer t, converts, then post-convergence-updates
@@ -44,8 +64,7 @@ TEST(PostConv, SingleLayerMatchesReferenceAfterRecovery) {
   auto fx = Fixture::make(6);
   auto batch = convert_to_compressed(fx.y_t, {0, 1, 2}, 0.0f);
   DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
-  post_convergence_layer(fx.net.weight(fx.t), fx.net.bias(fx.t),
-                         fx.net.ymax(), 0.0f, batch, scratch);
+  advance(fx.net, fx.t, 0.0f, batch, scratch);
   batch.refresh_ne_idx();
   const auto recovered = recover_results(batch);
   const auto expected =
@@ -55,17 +74,19 @@ TEST(PostConv, SingleLayerMatchesReferenceAfterRecovery) {
 
 TEST(PostConv, MultiLayerCloseToReference) {
   auto fx = Fixture::make(4);
-  auto batch = convert_to_compressed(fx.y_t, {0, 1, 2, 3}, 0.0f);
-  DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
-  for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
-    post_convergence_layer(fx.net.weight(l), fx.net.bias(l), fx.net.ymax(),
-                           0.0f, batch, scratch);
-    batch.refresh_ne_idx();
-  }
-  const auto recovered = recover_results(batch);
   const auto expected = dnn::reference_forward(fx.net, fx.y_t, fx.t,
                                                fx.net.num_layers());
-  EXPECT_LE(DenseMatrix::max_abs_diff(recovered, expected), 2e-3f);
+  for (const auto arm : kArms) {
+    auto batch = convert_to_compressed(fx.y_t, {0, 1, 2, 3}, 0.0f);
+    DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
+    for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
+      advance(fx.net, l, 0.0f, batch, scratch, arm);
+      batch.refresh_ne_idx();
+    }
+    const auto recovered = recover_results(batch);
+    EXPECT_LE(DenseMatrix::max_abs_diff(recovered, expected), 2e-3f)
+        << sparse::to_string(arm);
+  }
 }
 
 TEST(PostConv, IdenticalColumnsStayExactlyEqualToCentroidPath) {
@@ -78,22 +99,23 @@ TEST(PostConv, IdenticalColumnsStayExactlyEqualToCentroidPath) {
     fx.y_t.at(r, 5) = fx.y_t.at(r, 0);
     fx.y_t.at(r, 6) = fx.y_t.at(r, 0);
   }
-  auto batch = convert_to_compressed(fx.y_t, {0}, 0.0f);
-  EXPECT_EQ(batch.ne_rec[5], 0);
-  EXPECT_EQ(batch.ne_rec[6], 0);
-  DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
-  for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
-    post_convergence_layer(fx.net.weight(l), fx.net.bias(l), fx.net.ymax(),
-                           0.0f, batch, scratch);
-    batch.refresh_ne_idx();
-  }
-  EXPECT_EQ(batch.yhat.column_nonzeros(5), 0u);
-  EXPECT_EQ(batch.yhat.column_nonzeros(6), 0u);
-  const auto recovered = recover_results(batch);
-  // Duplicated columns recover to exactly the centroid's trajectory.
-  for (std::size_t r = 0; r < recovered.rows(); ++r) {
-    EXPECT_FLOAT_EQ(recovered.at(r, 5), recovered.at(r, 0));
-    EXPECT_FLOAT_EQ(recovered.at(r, 6), recovered.at(r, 0));
+  for (const auto arm : kArms) {
+    auto batch = convert_to_compressed(fx.y_t, {0}, 0.0f);
+    EXPECT_EQ(batch.ne_rec[5], 0);
+    EXPECT_EQ(batch.ne_rec[6], 0);
+    DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
+    for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
+      advance(fx.net, l, 0.0f, batch, scratch, arm);
+      batch.refresh_ne_idx();
+    }
+    EXPECT_EQ(batch.yhat.column_nonzeros(5), 0u) << sparse::to_string(arm);
+    EXPECT_EQ(batch.yhat.column_nonzeros(6), 0u) << sparse::to_string(arm);
+    const auto recovered = recover_results(batch);
+    // Duplicated columns recover to exactly the centroid's trajectory.
+    for (std::size_t r = 0; r < recovered.rows(); ++r) {
+      EXPECT_FLOAT_EQ(recovered.at(r, 5), recovered.at(r, 0));
+      EXPECT_FLOAT_EQ(recovered.at(r, 6), recovered.at(r, 0));
+    }
   }
 }
 
@@ -101,8 +123,7 @@ TEST(PostConv, CentroidColumnFollowsPlainFeedForward) {
   auto fx = Fixture::make(3);
   auto batch = convert_to_compressed(fx.y_t, {0, 1}, 0.0f);
   DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
-  post_convergence_layer(fx.net.weight(fx.t), fx.net.bias(fx.t),
-                         fx.net.ymax(), 0.0f, batch, scratch);
+  advance(fx.net, fx.t, 0.0f, batch, scratch);
   // Centroid column 0 must equal σ(W·y0 + b) computed directly.
   DenseMatrix single(fx.y_t.rows(), 1);
   for (std::size_t r = 0; r < fx.y_t.rows(); ++r) {
@@ -120,58 +141,64 @@ TEST(PostConv, EmptyColumnsSkippedButConsistent) {
   // Run one net twice: refresh ne_idx every layer vs never. Final results
   // must agree (stale ne_idx recomputes zero columns but stays correct).
   auto fx = Fixture::make(4, 9);
-  auto batch_fresh = convert_to_compressed(fx.y_t, {0, 1}, 0.0f);
-  auto batch_stale = batch_fresh;
-  DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
-  for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
-    post_convergence_layer(fx.net.weight(l), fx.net.bias(l), fx.net.ymax(),
-                           0.0f, batch_fresh, scratch);
-    batch_fresh.refresh_ne_idx();
-    post_convergence_layer(fx.net.weight(l), fx.net.bias(l), fx.net.ymax(),
-                           0.0f, batch_stale, scratch);
-    // no refresh for batch_stale
+  for (const auto arm : kArms) {
+    auto batch_fresh = convert_to_compressed(fx.y_t, {0, 1}, 0.0f);
+    auto batch_stale = batch_fresh;
+    DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
+    for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
+      advance(fx.net, l, 0.0f, batch_fresh, scratch, arm);
+      batch_fresh.refresh_ne_idx();
+      advance(fx.net, l, 0.0f, batch_stale, scratch, arm);
+      // no refresh for batch_stale
+    }
+    const auto a = recover_results(batch_fresh);
+    const auto b = recover_results(batch_stale);
+    EXPECT_FLOAT_EQ(DenseMatrix::max_abs_diff(a, b), 0.0f)
+        << sparse::to_string(arm);
   }
-  const auto a = recover_results(batch_fresh);
-  const auto b = recover_results(batch_stale);
-  EXPECT_FLOAT_EQ(DenseMatrix::max_abs_diff(a, b), 0.0f);
 }
 
 TEST(PostConv, PruningReducesNonEmptyColumns) {
   auto fx = Fixture::make(6, 21);
-  auto strict = convert_to_compressed(fx.y_t, {0, 1, 2}, 0.0f);
-  auto pruned = convert_to_compressed(fx.y_t, {0, 1, 2}, 0.05f);
-  DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
-  for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
-    post_convergence_layer(fx.net.weight(l), fx.net.bias(l), fx.net.ymax(),
-                           0.0f, strict, scratch);
-    strict.refresh_ne_idx();
-    post_convergence_layer(fx.net.weight(l), fx.net.bias(l), fx.net.ymax(),
-                           0.05f, pruned, scratch);
-    pruned.refresh_ne_idx();
+  for (const auto arm : kArms) {
+    auto strict = convert_to_compressed(fx.y_t, {0, 1, 2}, 0.0f);
+    auto pruned = convert_to_compressed(fx.y_t, {0, 1, 2}, 0.05f);
+    DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
+    for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
+      advance(fx.net, l, 0.0f, strict, scratch, arm);
+      strict.refresh_ne_idx();
+      advance(fx.net, l, 0.05f, pruned, scratch, arm);
+      pruned.refresh_ne_idx();
+    }
+    EXPECT_LE(pruned.ne_idx.size(), strict.ne_idx.size())
+        << sparse::to_string(arm);
+    EXPECT_LE(pruned.yhat.count_nonzeros(), strict.yhat.count_nonzeros())
+        << sparse::to_string(arm);
   }
-  EXPECT_LE(pruned.ne_idx.size(), strict.ne_idx.size());
-  EXPECT_LE(pruned.yhat.count_nonzeros(), strict.yhat.count_nonzeros());
 }
 
 TEST(PostConv, ScatterOverloadMatchesGatherOverload) {
   auto fx = Fixture::make(5, 33);
-  auto a = convert_to_compressed(fx.y_t, {0, 1, 2}, 0.0f);
-  auto b = a;
-  DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
   fx.net.ensure_csc();
-  for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
-    post_convergence_layer(fx.net.weight(l), fx.net.bias(l), fx.net.ymax(),
-                           0.0f, a, scratch);
-    a.refresh_ne_idx();
-    post_convergence_layer(fx.net.weight_csc(l), fx.net.bias(l),
-                           fx.net.ymax(), 0.0f, b, scratch);
-    b.refresh_ne_idx();
+  for (const auto arm :
+       {SpmmVariant::kScatter, SpmmVariant::kGatherSimd,
+        SpmmVariant::kGatherThreaded, SpmmVariant::kScatterSimd}) {
+    auto a = convert_to_compressed(fx.y_t, {0, 1, 2}, 0.0f);
+    auto b = a;
+    DenseMatrix scratch(fx.y_t.rows(), fx.y_t.cols());
+    for (std::size_t l = fx.t; l < fx.net.num_layers(); ++l) {
+      advance(fx.net, l, 0.0f, a, scratch, SpmmVariant::kGatherScalar);
+      a.refresh_ne_idx();
+      advance(fx.net, l, 0.0f, b, scratch, arm);
+      b.refresh_ne_idx();
+    }
+    // Different accumulation orders inside the multiply: tolerance compare.
+    EXPECT_LE(DenseMatrix::max_abs_diff(recover_results(a),
+                                        recover_results(b)),
+              1e-4f)
+        << sparse::to_string(arm);
+    EXPECT_EQ(a.ne_idx.size(), b.ne_idx.size()) << sparse::to_string(arm);
   }
-  // Different accumulation orders inside the multiply: tolerance compare.
-  EXPECT_LE(DenseMatrix::max_abs_diff(recover_results(a),
-                                      recover_results(b)),
-            1e-4f);
-  EXPECT_EQ(a.ne_idx.size(), b.ne_idx.size());
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ struct EngineParamCase {
   int threshold;
   int sample_size;
   int downsample;
-  PreKernel kernel;
+  sparse::SpmmVariant kernel;
 };
 
 class SnicitEquivalenceProperty
@@ -76,7 +76,7 @@ TEST_P(SnicitEquivalenceProperty, MatchesReferenceCategories) {
   params.threshold_layer = param.threshold;
   params.sample_size = param.sample_size;
   params.downsample_dim = param.downsample;
-  params.pre_kernel = param.kernel;
+  params.spmm.variant = param.kernel;
   SnicitEngine engine(params);
   const auto result = engine.run(net, input);
 
@@ -90,13 +90,13 @@ TEST_P(SnicitEquivalenceProperty, MatchesReferenceCategories) {
 INSTANTIATE_TEST_SUITE_P(
     ParamGrid, SnicitEquivalenceProperty,
     ::testing::Values(
-        EngineParamCase{2, 8, 0, PreKernel::kScatter},
-        EngineParamCase{6, 16, 0, PreKernel::kScatter},
-        EngineParamCase{6, 16, 8, PreKernel::kScatter},
-        EngineParamCase{6, 40, 16, PreKernel::kGather},
-        EngineParamCase{10, 16, 0, PreKernel::kTiled},
-        EngineParamCase{13, 8, 8, PreKernel::kScatter},
-        EngineParamCase{14, 8, 0, PreKernel::kScatter}));
+        EngineParamCase{2, 8, 0, sparse::SpmmVariant::kScatter},
+        EngineParamCase{6, 16, 0, sparse::SpmmVariant::kScatter},
+        EngineParamCase{6, 16, 8, sparse::SpmmVariant::kScatter},
+        EngineParamCase{6, 40, 16, sparse::SpmmVariant::kGatherScalar},
+        EngineParamCase{10, 16, 0, sparse::SpmmVariant::kGatherSimd},
+        EngineParamCase{13, 8, 8, sparse::SpmmVariant::kScatter},
+        EngineParamCase{14, 8, 0, sparse::SpmmVariant::kScatter}));
 
 class CompressionProperty : public ::testing::TestWithParam<int> {};
 

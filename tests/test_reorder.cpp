@@ -85,22 +85,32 @@ TEST(Reorder, PermutedBatchRecoversSameResults) {
   const auto input = data::make_sdgc_input(in_opt).features;
   const auto y4 = dnn::reference_forward(net, input, 0, 4);
 
-  auto plain = convert_to_compressed(y4, {0, 1, 2}, 0.0f);
-  const auto perm = cluster_order(plain);
-  auto permuted = permute_batch(plain, perm);
+  // Scalar gather is the CSR form; the three remaining non-scalar-scatter
+  // arms must be just as permutation-blind.
+  for (const auto arm :
+       {sparse::SpmmVariant::kGatherScalar, sparse::SpmmVariant::kGatherSimd,
+        sparse::SpmmVariant::kGatherThreaded,
+        sparse::SpmmVariant::kScatterSimd}) {
+    sparse::SpmmPolicy policy;
+    policy.variant = arm;
+    auto plain = convert_to_compressed(y4, {0, 1, 2}, 0.0f);
+    const auto perm = cluster_order(plain);
+    auto permuted = permute_batch(plain, perm);
 
-  DenseMatrix scratch(y4.rows(), y4.cols());
-  for (std::size_t l = 4; l < 8; ++l) {
-    post_convergence_layer(net.weight(l), net.bias(l), net.ymax(), 0.0f,
-                           plain, scratch);
-    plain.refresh_ne_idx();
-    post_convergence_layer(net.weight(l), net.bias(l), net.ymax(), 0.0f,
-                           permuted, scratch);
-    permuted.refresh_ne_idx();
+    DenseMatrix scratch(y4.rows(), y4.cols());
+    for (std::size_t l = 4; l < 8; ++l) {
+      post_convergence_layer(net.weight(l), &net.weight_csc(l), net.bias(l),
+                             net.ymax(), 0.0f, plain, scratch, policy);
+      plain.refresh_ne_idx();
+      post_convergence_layer(net.weight(l), &net.weight_csc(l), net.bias(l),
+                             net.ymax(), 0.0f, permuted, scratch, policy);
+      permuted.refresh_ne_idx();
+    }
+    const auto a = recover_results(plain);
+    const auto b = unpermute_columns(recover_results(permuted), perm);
+    EXPECT_FLOAT_EQ(DenseMatrix::max_abs_diff(a, b), 0.0f)
+        << sparse::to_string(arm);
   }
-  const auto a = recover_results(plain);
-  const auto b = unpermute_columns(recover_results(permuted), perm);
-  EXPECT_FLOAT_EQ(DenseMatrix::max_abs_diff(a, b), 0.0f);
 }
 
 TEST(Reorder, IdentityDetection) {

@@ -124,7 +124,7 @@ std::vector<std::vector<std::size_t>> submit_interleaved(
 // grid ----------------------------------------------------------------
 
 class RouterDeterminism
-    : public ::testing::TestWithParam<std::tuple<int, int, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<int, int, std::string>> {
 };
 
 TEST_P(RouterDeterminism, EveryTenantMatchesItsSingleModelOracle) {
@@ -182,7 +182,8 @@ INSTANTIATE_TEST_SUITE_P(
     Fuzz, RouterDeterminism,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),  // interleavings
                        ::testing::Values(1, 3),        // shared workers
-                       ::testing::Values("fifo", "similarity")));
+                       ::testing::Values(std::string("fifo"),
+                                         std::string("similarity"))));
 
 // --- SNICIT tenants: per-formed-batch serial replay -------------------
 

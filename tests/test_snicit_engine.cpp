@@ -93,17 +93,18 @@ TEST(SnicitEngine, ThresholdBeyondDepthIsClamped) {
   EXPECT_DOUBLE_EQ(result.diagnostics.at("threshold_layer"), 6.0);
 }
 
-TEST(SnicitEngine, AllPreKernelsProduceSameCategories) {
+TEST(SnicitEngine, ForcedKernelsProduceSameCategories) {
   auto [net, input] = make_test_net();
   const auto expected = dnn::reference_forward(net, input);
   for (auto kernel :
-       {PreKernel::kGather, PreKernel::kScatter, PreKernel::kTiled}) {
+       {sparse::SpmmVariant::kGatherScalar, sparse::SpmmVariant::kScatter,
+        sparse::SpmmVariant::kGatherSimd}) {
     auto params = default_params(8);
-    params.pre_kernel = kernel;
+    params.spmm.variant = kernel;
     SnicitEngine engine(params);
     const auto result = engine.run(net, input);
     EXPECT_LE(dnn::DenseMatrix::max_abs_diff(result.output, expected), 5e-3f)
-        << "kernel " << static_cast<int>(kernel);
+        << "kernel " << sparse::to_string(kernel);
   }
 }
 
@@ -206,9 +207,9 @@ TEST(SnicitEngine, NeRefreshIntervalDoesNotChangeResults) {
 TEST(SnicitEngine, PostKernelsAgree) {
   auto [net, input] = make_test_net(18, 7);
   auto p_scatter = default_params(8);
-  p_scatter.post_kernel = PreKernel::kScatter;
+  p_scatter.spmm.variant = sparse::SpmmVariant::kScatter;
   auto p_gather = default_params(8);
-  p_gather.post_kernel = PreKernel::kGather;
+  p_gather.spmm.variant = sparse::SpmmVariant::kGatherScalar;
   SnicitEngine a(p_scatter);
   SnicitEngine b(p_gather);
   const auto ya = a.run(net, input).output;

@@ -85,19 +85,6 @@ TEST(SpmmScatter, AllZeroInputGivesZeroOutput) {
   EXPECT_EQ(out.count_nonzeros(), 0u);  // scatter zero-fills its columns
 }
 
-TEST(SpmmTiled, MatchesGatherAcrossTileSizes) {
-  const auto w = random_weights(30, 30, 0.25, 6);
-  const auto y = random_activations(30, 37, 0.9, 7);  // non-multiple of tile
-  DenseMatrix ref(30, 37);
-  spmm_gather(w, y, ref);
-  for (std::size_t tile : {1u, 3u, 16u, 64u}) {
-    DenseMatrix out(30, 37);
-    spmm_tiled(w, y, out, tile);
-    EXPECT_LE(DenseMatrix::max_abs_diff(out, ref), 1e-5f)
-        << "tile=" << tile;
-  }
-}
-
 TEST(SpmmGatherCols, OnlyTouchesListedColumns) {
   const auto w = random_weights(12, 12, 0.4, 8);
   const auto y = random_activations(12, 6, 0.7, 9);
@@ -191,12 +178,9 @@ TEST_P(KernelEquivalence, AllVariantsAgree) {
                                     200 + b);
   DenseMatrix g(n, b);
   DenseMatrix s(n, b);
-  DenseMatrix t(n, b);
   spmm_gather(w, y, g);
   spmm_scatter(CscMatrix::from_csr(w), y, s);
-  spmm_tiled(w, y, t, 8);
   EXPECT_LE(DenseMatrix::max_abs_diff(g, s), 1e-3f);
-  EXPECT_LE(DenseMatrix::max_abs_diff(g, t), 1e-5f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
