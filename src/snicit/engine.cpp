@@ -9,7 +9,6 @@
 #include "platform/metrics.hpp"
 #include "platform/timer.hpp"
 #include "platform/trace.hpp"
-#include "snicit/adaptive_prune.hpp"
 #include "snicit/convergence.hpp"
 #include "snicit/postconv.hpp"
 #include "snicit/recovery.hpp"
@@ -108,6 +107,14 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
                             const dnn::DenseMatrix& input,
                             platform::Workspace& ws,
                             dnn::RunResult& result) {
+  run_stages(net, input, ws, result, nullptr);
+}
+
+void SnicitEngine::run_stages(const dnn::SparseDnn& net,
+                              const dnn::DenseMatrix& input,
+                              platform::Workspace& ws,
+                              dnn::RunResult& result,
+                              dnn::DenseMatrix* centroids) {
   SNICIT_TRACE_SPAN("snicit.run", "engine");
   const auto layers = net.num_layers();
   const int t_bound = std::clamp<int>(params_.threshold_layer, 0,
@@ -218,21 +225,34 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
   // --- Stage 2: cluster-based conversion (§3.2) ---
   stage_span.emplace("conversion", "snicit");
   stage.reset();
-  auto& f = ws.mat(platform::Workspace::kSample);
-  build_sample_matrix_into(*cur, params_.sample_size, params_.downsample_dim,
-                           f);
+  // The spMM target of stage 3. A cached conversion carries its k
+  // centroids as extra batch columns, so the compressed batch is that
+  // much wider than the caller's.
+  const std::size_t k = centroids != nullptr ? centroids->cols() : 0;
+  const std::size_t width = batch_cols + k;
+  auto& scratch = ws.mat(platform::Workspace::kScratch, rows, width,
+                         sparse::ZeroFill::kNo);
   auto& centroid_cols = ws.vec(platform::Workspace::kAux);
-  prune_samples_into(f, params_.eta, params_.epsilon, centroid_cols);
-  float prune = params_.prune_threshold;
   CompressedBatch& batch = ws.state<CompressedBatch>();
-  convert_into(*cur, centroid_cols, prune, batch);
-  if (params_.adaptive_prune_target > 0.0) {
-    // Derive the threshold from the initial residues, then re-apply it to
-    // the freshly converted batch (cheap: one elementwise pass).
-    prune = choose_prune_threshold(batch, params_.adaptive_prune_target);
-    if (prune > 0.0f) {
-      convert_into(*cur, centroid_cols, prune, batch);
+  if (k == 0) {
+    auto& f = ws.mat(platform::Workspace::kSample);
+    build_sample_matrix_into(*cur, params_.sample_size,
+                             params_.downsample_dim, f);
+    prune_samples_into(f, params_.eta, params_.epsilon, centroid_cols);
+    convert_into(*cur, centroid_cols, params_.prune_threshold, batch);
+  } else {
+    // Cached conversion: Y(t) followed by the cached centroids as batch
+    // columns [B, B+k), staged in the spMM target, which nothing reads
+    // before the first post-convergence multiply overwrites it.
+    SNICIT_CHECK(centroids->rows() == rows,
+                 "cache dimensionality mismatch");
+    std::copy_n(cur->data(), rows * batch_cols, scratch.data());
+    std::copy_n(centroids->data(), rows * k, scratch.col(batch_cols));
+    centroid_cols.clear();
+    for (std::size_t j = batch_cols; j < width; ++j) {
+      centroid_cols.push_back(static_cast<sparse::Index>(j));
     }
+    convert_into(scratch, centroid_cols, params_.prune_threshold, batch);
   }
   result.stages.add("conversion", stage.elapsed_ms());
   stage_span.reset();
@@ -264,18 +284,25 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
   // baseline path, bit-identical to the serial reference.
   stage_span.emplace("post-convergence", "snicit");
   stage.reset();
-  // The spMM target: the update kernel only reads the columns listed in
-  // ne_idx (plus their centroid columns, which are always non-empty), and
-  // the load-reduced spMM writes exactly those columns first — so the
-  // buffer never needs zeroing.
-  auto& scratch = ws.mat(platform::Workspace::kScratch, rows, batch_cols,
-                         sparse::ZeroFill::kNo);
+  // `scratch` is the spMM target: the update kernel only reads the columns
+  // listed in ne_idx (plus their centroid columns, which are always
+  // non-empty), and the load-reduced spMM writes exactly those columns
+  // first — so the buffer never needs zeroing.
   int since_refresh = 0;
   int since_reconvert = 0;
   int fallback_from = -1;  // layer where the divergence guard fired
   if (params_.divergence_guard && !batch_within_bounds(batch, net.ymax())) {
     // Conversion itself produced a corrupt compressed batch.
     fallback_from = t;
+  } else if (k == 0 && centroids != nullptr) {
+    // A clean fresh conversion fills the empty centroid cache from the
+    // Y(t) that `*cur` holds; a corrupt one leaves it empty, so no later
+    // batch converts against bad centroids.
+    centroids->reset(rows, centroid_cols.size(), sparse::ZeroFill::kNo);
+    for (std::size_t c = 0; c < centroid_cols.size(); ++c) {
+      std::copy_n(cur->col(static_cast<std::size_t>(centroid_cols[c])),
+                  rows, centroids->col(c));
+    }
   }
   for (std::size_t i = static_cast<std::size_t>(t);
        fallback_from < 0 && i < layers; ++i) {
@@ -286,8 +313,8 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
     // multiply of the centroid column twice (with and without the
     // residue), so the bias/clip cannot be folded into the spMM store.
     const std::size_t pruned = post_convergence_layer(
-        net.weight(i), &net.weight_csc(i), net.bias(i), net.ymax(), prune,
-        batch, scratch, params_.spmm,
+        net.weight(i), &net.weight_csc(i), net.bias(i), net.ymax(),
+        params_.prune_threshold, batch, scratch, params_.spmm,
         params_.divergence_guard ? &diverged : nullptr);
     if (diverged) {
       fallback_from = static_cast<int>(i);
@@ -317,7 +344,7 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
       const dnn::DenseMatrix fr = build_sample_matrix(
           dense, params_.sample_size, params_.downsample_dim);
       prune_samples_into(fr, params_.eta, params_.epsilon, centroid_cols);
-      convert_into(dense, centroid_cols, prune, batch);
+      convert_into(dense, centroid_cols, params_.prune_threshold, batch);
       since_reconvert = 0;
       since_refresh = 0;
     }
@@ -369,7 +396,8 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
     result.diagnostics["centroids"] =
         static_cast<double>(centroid_cols.size());
     result.diagnostics["fallback_layer"] = fallback_from;
-    result.diagnostics["prune_threshold"] = static_cast<double>(prune);
+    result.diagnostics["prune_threshold"] =
+        static_cast<double>(params_.prune_threshold);
     if (metrics::enabled()) {
       auto& registry = metrics::MetricsRegistry::global();
       registry.counter("snicit.fallbacks").add(1);
@@ -382,7 +410,7 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
   // --- Stage 4: final results recovery (§3.4) ---
   stage_span.emplace("recovery", "snicit");
   stage.reset();
-  recover_into(batch, result.output);
+  recover_into(batch, batch_cols, result.output);
   result.stages.add("recovery", stage.elapsed_ms());
   stage_span.reset();
 
@@ -391,7 +419,8 @@ void SnicitEngine::run_into(const dnn::SparseDnn& net,
       static_cast<double>(centroid_cols.size());
   result.diagnostics[kDiagFinalNeColumns] =
       static_cast<double>(batch.ne_idx.size());
-  result.diagnostics["prune_threshold"] = static_cast<double>(prune);
+  result.diagnostics["prune_threshold"] =
+      static_cast<double>(params_.prune_threshold);
   // A reused result may carry the verdict of an earlier degraded run;
   // absence of this key is what "clean run" means to callers. The key is
   // within the small-string buffer, so the lookup never allocates.

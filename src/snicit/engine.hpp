@@ -1,7 +1,9 @@
 // The SNICIT inference engine: orchestrates the four pipeline stages of
 // Figure 2 — pre-convergence spMM, cluster-based conversion,
 // post-convergence update, final results recovery — and reports the
-// per-stage breakdown the paper's Figures 7/10 analyse.
+// per-stage breakdown the paper's Figures 7/10 analyse. Its stage loop is
+// the only one: WarmSnicitEngine (snicit/warm_cache.hpp) drives the same
+// loop with a cached-centroid conversion.
 #pragma once
 
 #include <vector>
@@ -46,6 +48,20 @@ class SnicitEngine final : public dnn::InferenceEngine {
   const Trace& last_trace() const { return trace_; }
 
  private:
+  friend class WarmSnicitEngine;
+
+  /// The stage loop behind run_into. Conversion is its one variation
+  /// point, set by `centroids`:
+  ///  - null: Algorithm 1 on Y(t);
+  ///  - empty: the same, and the centroid columns it chose are copied out
+  ///    of Y(t) into `*centroids` (left empty when no conversion runs,
+  ///    t >= l, or when the divergence guard rejects the converted batch);
+  ///  - k columns: they join Y(t) as batch columns [B, B+k) and are the
+  ///    centroids; recovery returns only columns [0, B).
+  void run_stages(const dnn::SparseDnn& net, const dnn::DenseMatrix& input,
+                  platform::Workspace& ws, dnn::RunResult& result,
+                  dnn::DenseMatrix* centroids);
+
   SnicitParams params_;
   Trace trace_;
   platform::Workspace ws_;  // scratch behind the plain run() entry point

@@ -55,12 +55,6 @@ struct SnicitParams {
   /// everywhere (the regression suites sweep arms this way).
   sparse::SpmmPolicy spmm = {};
 
-  /// Adaptive pruning (extension of §3.3.1): when > 0, the engine derives
-  /// prune_threshold from the data right after conversion — the residue
-  /// |value| quantile that drops this fraction of residue entries. The
-  /// derived value overrides prune_threshold for the whole run.
-  double adaptive_prune_target = 0.0;
-
   /// Re-run cluster-based conversion every this many post-convergence
   /// layers (0 = never, the paper's choice: §3.2.2 argues fresh centroids
   /// are not worth their runtime overhead; the option exists to quantify

@@ -15,12 +15,18 @@ DenseMatrix recover_results(const CompressedBatch& batch) {
 }
 
 void recover_into(const CompressedBatch& batch, DenseMatrix& y) {
+  recover_into(batch, batch.yhat.cols(), y);
+}
+
+void recover_into(const CompressedBatch& batch, std::size_t cols,
+                  DenseMatrix& y) {
   SNICIT_TRACE_SPAN("recover_results", "snicit");
+  SNICIT_CHECK(cols <= batch.yhat.cols(),
+               "recovering more columns than the batch holds");
   const std::size_t n = batch.yhat.rows();
-  const std::size_t b = batch.yhat.cols();
   // Every column is written below (centroids copied, residues summed).
-  y.reset(n, b, sparse::ZeroFill::kNo);
-  platform::parallel_for_ranges(0, b, [&](std::size_t lo, std::size_t hi) {
+  y.reset(n, cols, sparse::ZeroFill::kNo);
+  platform::parallel_for_ranges(0, cols, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t j = lo; j < hi; ++j) {
       const float* SNICIT_RESTRICT res = batch.yhat.col(j);
       float* SNICIT_RESTRICT dst = y.col(j);

@@ -15,4 +15,9 @@ DenseMatrix recover_results(const CompressedBatch& batch);
 /// buffer): `y` is reshaped capacity-preserving and fully overwritten.
 void recover_into(const CompressedBatch& batch, DenseMatrix& y);
 
+/// Recovers only the leading `cols` columns into `y` (n x cols): a
+/// cached-centroid batch carries its centroids after the caller's columns.
+void recover_into(const CompressedBatch& batch, std::size_t cols,
+                  DenseMatrix& y);
+
 }  // namespace snicit::core

@@ -9,17 +9,20 @@
 // drops to a single nearest-centroid pass, and cross-batch results stay
 // consistent because all batches share one set of class representatives.
 //
-// Mechanically, the cached centroids are *appended* to each new batch as
-// k extra columns (they must exist in Ŷ for Eq. (5) updates), and the
-// recovery step drops them again.
+// The engine is SnicitEngine's stage loop with its conversion swapped:
+// the cold run converts as usual and copies the chosen centroid columns
+// out of the Y(t) it already holds; every warm run appends the cached
+// centroids to Y(t) as k extra batch columns (they must exist in Ŷ for
+// the Eq. (5) updates), and recovery returns only the caller's columns.
+// The divergence guard, spans, metrics and workspace arena therefore
+// apply unchanged, and a warm run_into is allocation-free.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "dnn/engine.hpp"
 #include "platform/error.hpp"
-#include "snicit/convert.hpp"
+#include "snicit/engine.hpp"
 #include "snicit/params.hpp"
 
 namespace snicit::core {
@@ -32,17 +35,12 @@ struct CentroidCache {
   bool empty() const { return columns.cols() == 0; }
 };
 
-/// Converts y (at layer t) against *external* centroids: the cache's
-/// columns are appended as batch columns [B, B+k) and marked as the
-/// centroids; every original column maps to its nearest cached centroid.
-CompressedBatch convert_with_cache(const DenseMatrix& y,
-                                   const CentroidCache& cache,
-                                   float prune_threshold);
-
 /// A SNICIT engine that establishes the centroid cache on its first run
 /// and reuses it on every subsequent run (call reset() to invalidate,
 /// e.g. on distribution shift). Per-run parameters follow SnicitParams;
-/// auto_threshold is not supported (the cache pins t).
+/// auto_threshold is not supported (the cache pins t). A run with no
+/// conversion (t >= l), or whose conversion the divergence guard rejects,
+/// leaves the engine unwarmed.
 class WarmSnicitEngine final : public dnn::InferenceEngine {
  public:
   explicit WarmSnicitEngine(SnicitParams params);
@@ -50,6 +48,8 @@ class WarmSnicitEngine final : public dnn::InferenceEngine {
   std::string name() const override { return "SNICIT-warm"; }
   dnn::RunResult run(const dnn::SparseDnn& net,
                      const dnn::DenseMatrix& input) override;
+  void run_into(const dnn::SparseDnn& net, const dnn::DenseMatrix& input,
+                platform::Workspace& ws, dnn::RunResult& result) override;
 
   /// Clones copy the centroid cache: cloning a warmed engine yields a
   /// pool whose members all map batches onto the *same* representatives,
@@ -58,9 +58,9 @@ class WarmSnicitEngine final : public dnn::InferenceEngine {
     return std::make_unique<WarmSnicitEngine>(*this);
   }
 
-  bool warmed() const { return cache_.has_value(); }
-  void reset() { cache_.reset(); }
-  const CentroidCache& cache() const { return *cache_; }
+  bool warmed() const { return !cache_.empty(); }
+  void reset() { cache_ = {}; }
+  const CentroidCache& cache() const { return cache_; }
 
   /// Persists the centroid cache (versioned, checksummed — see
   /// snicit/snapshot.hpp) so a restarted server warm-starts instead of
@@ -78,8 +78,8 @@ class WarmSnicitEngine final : public dnn::InferenceEngine {
                                        std::size_t expected_neurons = 0);
 
  private:
-  SnicitParams params_;
-  std::optional<CentroidCache> cache_;
+  SnicitEngine engine_;  // owns the params and the stage loop
+  CentroidCache cache_;  // empty until a run converts (or a restore)
 };
 
 }  // namespace snicit::core

@@ -2,10 +2,12 @@
 // injected numerical corruption (NaN tiles from the load-reduced spMM,
 // poisoned conversion output), fall back mid-network to the dense
 // baseline path, match the serial reference exactly, and attribute the
-// fallback in traces/diagnostics/metrics and StreamResult.
+// fallback in traces/diagnostics/metrics and StreamResult — on fresh and
+// on cached-centroid (warmed WarmSnicitEngine) conversions alike.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "data/synthetic.hpp"
@@ -15,6 +17,7 @@
 #include "radixnet/radixnet.hpp"
 #include "snicit/engine.hpp"
 #include "snicit/parallel_stream.hpp"
+#include "snicit/warm_cache.hpp"
 
 namespace snicit::core {
 namespace {
@@ -102,6 +105,55 @@ TEST_F(DegradationTest, ConvertNanCaughtByPostConversionScan) {
   const auto golden = dnn::reference_forward(wl.net, wl.input);
   EXPECT_FLOAT_EQ(dnn::DenseMatrix::max_abs_diff(result.output, golden),
                   0.0f);
+}
+
+// The same drills on a warmed WarmSnicitEngine: its warm runs go through
+// the same stage loop, so the guard must catch corruption of a cached
+// conversion too and fall back to the reference bit for bit.
+void expect_warmed_engine_falls_back(const char* fault_spec) {
+  auto wl = make_workload();
+  WarmSnicitEngine engine(base_params());
+  engine.run(wl.net, wl.input);  // clean cold run fills the cache
+  ASSERT_TRUE(engine.warmed());
+  ASSERT_TRUE(platform::fault::FaultRegistry::global()
+                  .configure(fault_spec, 42)
+                  .ok());
+  const auto result = engine.run(wl.net, wl.input);
+
+  EXPECT_DOUBLE_EQ(result.diagnostics.at("warm"), 1.0);
+  EXPECT_EQ(result.fallback_layer, 4);
+  ASSERT_EQ(result.diagnostics.count("fallback_layer"), 1u);
+  // Compared by bits: max_abs_diff would not see a NaN that got through.
+  const auto golden = dnn::reference_forward(wl.net, wl.input);
+  ASSERT_EQ(result.output.rows(), golden.rows());
+  ASSERT_EQ(result.output.cols(), golden.cols());
+  EXPECT_EQ(std::memcmp(result.output.data(), golden.data(),
+                        golden.rows() * golden.cols() * sizeof(float)),
+            0);
+  EXPECT_EQ(result.layer_ms.size(), wl.net.num_layers());
+}
+
+TEST_F(DegradationTest, WarmedEngineNanTileFallsBackExactly) {
+  expect_warmed_engine_falls_back("nan_tile:1.0");
+}
+
+TEST_F(DegradationTest, WarmedEngineConvertNanFallsBackExactly) {
+  expect_warmed_engine_falls_back("convert_nan:1.0");
+}
+
+TEST_F(DegradationTest, CorruptColdConversionLeavesWarmEngineCold) {
+  // The cache is filled only from a conversion the guard accepted, so a
+  // corrupt cold batch cannot pin bad centroids for later batches.
+  auto wl = make_workload();
+  WarmSnicitEngine engine(base_params());
+  ASSERT_TRUE(platform::fault::FaultRegistry::global()
+                  .configure("convert_nan:1.0", 42)
+                  .ok());
+  EXPECT_EQ(engine.run(wl.net, wl.input).fallback_layer, 4);
+  EXPECT_FALSE(engine.warmed());
+  platform::fault::FaultRegistry::global().clear();
+  EXPECT_EQ(engine.run(wl.net, wl.input).fallback_layer, -1);
+  EXPECT_TRUE(engine.warmed());
 }
 
 TEST_F(DegradationTest, GuardOffLetsCorruptionThrough) {

@@ -5,9 +5,12 @@
 // arithmetic, or engine plumbing that perturbs even one output bit
 // fails here — before it can masquerade as a performance win.
 //
-// The spMM policy is pinned to the scalar gather kernel so digests are a
-// pure function of (workload seed, engine algorithm), not of the host's
-// core count or SIMD width.
+// Every engine runs once per forced spMM arm (gather, gather_simd,
+// gather_threaded, scatter, scatter_simd) against the SAME golden keys:
+// the arms differ in loop order and blocking, never in per-element
+// accumulation order, so digests are a pure function of (workload seed,
+// engine algorithm), not of the kernel, the host's core count or its
+// SIMD width. A refresh stores a digest only when all arms agree.
 //
 // Refreshing after an *intentional* numerical change:
 //
@@ -111,28 +114,27 @@ std::map<std::string, std::uint64_t> load_golden() {
   return golden;
 }
 
+std::string hex_digest(std::uint64_t digest) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(digest));
+  return hex;
+}
+
 bool store_golden(const std::map<std::string, std::uint64_t>& golden) {
   std::ofstream out(golden_path());
   out << "# Golden engine-output digests (FNV-1a over shape + float "
          "bits).\n"
       << "# Regenerate with: test_golden --update-golden (see file "
          "header comment).\n";
-  char hex[32];
   for (const auto& [key, value] : golden) {
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(value));
-    out << key << " " << hex << "\n";
+    out << key << " " << hex_digest(value) << "\n";
   }
   return out.good();
 }
 
 std::unique_ptr<dnn::InferenceEngine> make_engine(
-    const std::string& name, int layers,
-    sparse::SpmmEpilogue epilogue = sparse::SpmmEpilogue::kFused) {
-  // Pinned scalar kernel: digests must not depend on the host machine.
-  sparse::SpmmPolicy policy;
-  policy.variant = sparse::SpmmVariant::kGatherScalar;
-  policy.epilogue = epilogue;
+    const std::string& name, int layers, const sparse::SpmmPolicy& policy) {
   if (name == "reference") return std::make_unique<dnn::ReferenceEngine>();
   if (name == "bf2019") {
     return std::make_unique<baselines::Bf2019Engine>(0, policy);
@@ -159,12 +161,13 @@ std::unique_ptr<dnn::InferenceEngine> make_engine(
   return nullptr;
 }
 
-/// Runs `engine_name` `runs` times on each config and digests the output
-/// of the LAST run. With runs = 1 this is the classic cold digest; with
-/// runs = 2 it pins the warm path of cache-carrying engines
-/// (WarmSnicitEngine's first run establishes the centroid cache, the
-/// second serves from it — the serving steady state), so a regression
-/// that only corrupts cache reuse cannot hide behind a clean cold run.
+/// Runs `engine_name` `runs` times on each config, once per forced spMM
+/// arm, and digests the output of the LAST run. With runs = 1 this is the
+/// classic cold digest; with runs = 2 it pins the warm path of
+/// cache-carrying engines (WarmSnicitEngine's first run establishes the
+/// centroid cache, the second serves from it — the serving steady state),
+/// so a regression that only corrupts cache reuse cannot hide behind a
+/// clean cold run.
 void check_engine(
     const std::string& engine_name, int runs = 1,
     sparse::SpmmEpilogue epilogue = sparse::SpmmEpilogue::kFused) {
@@ -183,33 +186,41 @@ void check_engine(
     in_opt.seed = config.seed + 1;
     const auto input = data::make_sdgc_input(in_opt).features;
 
-    auto engine = make_engine(engine_name, config.layers, epilogue);
-    ASSERT_NE(engine, nullptr) << engine_name;
-    auto result = engine->run(net, input);
-    for (int r = 1; r < runs; ++r) result = engine->run(net, input);
-    const std::uint64_t digest = digest_output(result.output);
-
     const std::string key =
         runs > 1 ? config.name + "/" + engine_name + "@run" +
                        std::to_string(runs)
                  : config.name + "/" + engine_name;
-    computed()[key] = digest;
-    if (g_update_golden) continue;  // comparison deferred to the refresh
     const auto expected = golden.find(key);
-    ASSERT_NE(expected, golden.end())
-        << "no golden digest for " << key
-        << " — run test_golden --update-golden and commit "
-        << golden_path();
-    char got[32];
-    std::snprintf(got, sizeof(got), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    char want[32];
-    std::snprintf(want, sizeof(want), "%016llx",
-                  static_cast<unsigned long long>(expected->second));
-    EXPECT_EQ(digest, expected->second)
-        << key << ": output digest " << got << " != golden " << want
-        << " — engine outputs changed bit-for-bit; if intentional, "
-        << "refresh with test_golden --update-golden";
+    if (!g_update_golden) {
+      ASSERT_NE(expected, golden.end())
+          << "no golden digest for " << key
+          << " — run test_golden --update-golden and commit "
+          << golden_path();
+    }
+    std::uint64_t first_digest = 0;
+    for (int v = 0; v < sparse::kNumSpmmVariants; ++v) {
+      sparse::SpmmPolicy policy;
+      policy.variant = static_cast<sparse::SpmmVariant>(v);
+      policy.epilogue = epilogue;
+      auto engine = make_engine(engine_name, config.layers, policy);
+      ASSERT_NE(engine, nullptr) << engine_name;
+      auto result = engine->run(net, input);
+      for (int r = 1; r < runs; ++r) result = engine->run(net, input);
+      const std::uint64_t digest = digest_output(result.output);
+      if (v == 0) first_digest = digest;
+      // A refresh checks the arms against each other; main() writes it
+      // only when every check passed, i.e. when all arms agree.
+      const std::uint64_t want =
+          g_update_golden ? first_digest : expected->second;
+      EXPECT_EQ(digest, want)
+          << key << " [" << sparse::to_string(policy.variant)
+          << "]: output digest " << hex_digest(digest) << " != "
+          << (g_update_golden ? "the gather arm's " : "golden ")
+          << hex_digest(want)
+          << " — engine outputs changed bit-for-bit; if intentional, "
+          << "refresh with test_golden --update-golden";
+    }
+    computed()[key] = first_digest;
   }
 }
 

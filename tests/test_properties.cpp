@@ -6,6 +6,7 @@
 //   P5  centroid count is in [1, s]
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "data/synthetic.hpp"
@@ -52,6 +53,14 @@ struct EngineParamCase {
   int downsample;
   sparse::SpmmVariant kernel;
 };
+
+// gtest lists each case with its printed parameter, and CMake's test
+// discovery puts that in place of the case index, so this printer gives
+// the ctest names: ".../t2_s8_n0_scatter" rather than a byte dump.
+void PrintTo(const EngineParamCase& c, std::ostream* os) {
+  *os << "t" << c.threshold << "_s" << c.sample_size << "_n" << c.downsample
+      << "_" << sparse::to_string(c.kernel);
+}
 
 class SnicitEquivalenceProperty
     : public ::testing::TestWithParam<EngineParamCase> {};
@@ -131,7 +140,9 @@ TEST_P(CompressionProperty, ConversionNeverInflatesClusteredBatches) {
   // P4: ne_idx sorted, unique, consistent with ne_rec.
   std::set<sparse::Index> seen;
   for (std::size_t i = 0; i < batch.ne_idx.size(); ++i) {
-    if (i > 0) EXPECT_LT(batch.ne_idx[i - 1], batch.ne_idx[i]);
+    if (i > 0) {
+      EXPECT_LT(batch.ne_idx[i - 1], batch.ne_idx[i]);
+    }
     seen.insert(batch.ne_idx[i]);
     EXPECT_EQ(batch.ne_rec[static_cast<std::size_t>(batch.ne_idx[i])], 1);
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "snicit/engine.hpp"
 
 #include "data/synthetic.hpp"
@@ -48,22 +50,38 @@ SnicitParams base_params() {
 }
 
 TEST(ConvertWithCache, AppendsCentroidColumns) {
-  DenseMatrix y(8, 4, 1.0f);
-  CentroidCache cache;
-  cache.columns.reset(8, 2);
-  cache.columns.fill(1.0f);
-  for (std::size_t r = 0; r < 8; ++r) {
-    cache.columns.at(r, 1) = 5.0f;
+  // A warm run converts against the cache: the k cached centroids are
+  // appended as batch columns [B, B+k) of the compressed batch the stage
+  // loop leaves in its workspace, and recovery drops them again.
+  auto wl = make_workload();
+  WarmSnicitEngine warm(base_params());
+  warm.run(wl.net, wl.batch1);  // establish the cache
+  ASSERT_TRUE(warm.warmed());
+  const std::size_t b = wl.batch1.cols();
+  const std::size_t k = warm.cache().size();
+
+  platform::Workspace ws;
+  dnn::RunResult result;
+  warm.run_into(wl.net, wl.batch1, ws, result);
+  EXPECT_EQ(result.output.cols(), b);
+  const auto& batch = ws.state<CompressedBatch>();
+  ASSERT_EQ(batch.batch(), b + k);  // B originals + k cached
+  for (std::size_t c = 0; c < k; ++c) {
+    EXPECT_TRUE(batch.is_centroid(b + c));
   }
-  const auto batch = convert_with_cache(y, cache, 0.0f);
-  EXPECT_EQ(batch.batch(), 6u);  // 4 originals + 2 cached
-  EXPECT_TRUE(batch.is_centroid(4));
-  EXPECT_TRUE(batch.is_centroid(5));
-  // Originals (all 1.0) map to the first cached centroid with zero
-  // residue.
-  for (std::size_t j = 0; j < 4; ++j) {
-    EXPECT_EQ(batch.mapper[j], 4);
-    EXPECT_EQ(batch.ne_rec[j], 0);
+  // Every original maps to a cached centroid. Each cached centroid was
+  // copied from a column of this very batch, so that column maps to it
+  // with an empty residue (which Eq. (5) keeps empty).
+  std::vector<int> exact_members(k, 0);
+  for (std::size_t j = 0; j < b; ++j) {
+    ASSERT_FALSE(batch.is_centroid(j));
+    const auto c = static_cast<std::size_t>(batch.mapper[j]);
+    ASSERT_GE(c, b);
+    ASSERT_LT(c, b + k);
+    if (batch.ne_rec[j] == 0) ++exact_members[c - b];
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    EXPECT_GE(exact_members[c], 1) << "cached centroid " << c;
   }
 }
 
@@ -126,6 +144,29 @@ TEST(WarmEngineDeathTest, AutoThresholdRejected) {
         WarmSnicitEngine warm(params);
       },
       "auto_threshold");
+}
+
+TEST(WarmEngine, ThresholdAtDepthSkipsConversionAndStaysCold) {
+  // t >= l: no post-convergence layer remains, so both engines return the
+  // plain feed-forward Y(l) before conversion. The warm engine has no
+  // centroids to cache, stays unwarmed and has nothing to save.
+  auto wl = make_workload();
+  auto params = base_params();
+  params.threshold_layer = static_cast<int>(wl.net.num_layers()) + 5;
+  WarmSnicitEngine warm(params);
+  SnicitEngine plain(params);
+  const auto golden = dnn::reference_forward(wl.net, wl.batch1);
+  const auto a = warm.run(wl.net, wl.batch1);
+  const auto b = plain.run(wl.net, wl.batch1);
+  EXPECT_FLOAT_EQ(dnn::DenseMatrix::max_abs_diff(a.output, golden), 0.0f);
+  EXPECT_FLOAT_EQ(dnn::DenseMatrix::max_abs_diff(b.output, golden), 0.0f);
+  EXPECT_DOUBLE_EQ(a.diagnostics.at("centroids"), 0.0);
+  EXPECT_DOUBLE_EQ(a.diagnostics.at("warm"), 0.0);
+  EXPECT_FALSE(warm.warmed());
+  const auto saved =
+      warm.save_state(::testing::TempDir() + "warm_unconverted.snap");
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.error().code, platform::ErrorCode::kBadInput);
 }
 
 // Property sweep: warm runs agree with the exact reference across seeds.

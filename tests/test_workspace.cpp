@@ -28,6 +28,7 @@
 #include "radixnet/radixnet.hpp"
 #include "serve/dynamic_batcher.hpp"
 #include "snicit/engine.hpp"
+#include "snicit/warm_cache.hpp"
 
 // ---------------------------------------------------------------------
 // Global allocation counter. Every operator new in the test binary bumps
@@ -271,6 +272,21 @@ TEST(ZeroAllocSteadyState, SnicitEngine) {
   params.prune_threshold = 0.0f;
   core::SnicitEngine engine(params);
   EXPECT_EQ(steady_state_allocs_of(engine, tn), 0u);
+}
+
+// The warm-up runs are the cold batch (which fills the centroid cache)
+// and a first cached conversion (which widens the batch by k columns);
+// the measured run serves from the cache.
+TEST(ZeroAllocSteadyState, WarmSnicitEngine) {
+  const auto tn = make_test_net();
+  core::SnicitParams params;
+  params.threshold_layer = 6;
+  params.sample_size = 16;
+  params.downsample_dim = 0;
+  params.prune_threshold = 0.0f;
+  core::WarmSnicitEngine engine(params);
+  EXPECT_EQ(steady_state_allocs_of(engine, tn), 0u);
+  EXPECT_TRUE(engine.warmed());
 }
 
 // ------------------- warm DynamicBatcher rounds ----------------------
