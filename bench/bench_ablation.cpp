@@ -8,7 +8,6 @@
 //   6. periodic re-clustering (§3.2.2 rejects it as too expensive —
 //      measured here)
 //   7. spGEMM + per-layer recompression vs load-reduced spMM (§3.3.1)
-//   8. int8 weight quantization composed with SNICIT (§2.2's static axis)
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -19,7 +18,6 @@
 #include "snicit/postconv.hpp"
 #include "snicit/sample_prune.hpp"
 #include "snicit/sampling.hpp"
-#include "sparse/quantized.hpp"
 #include "sparse/spgemm.hpp"
 #include "sparse/spmm.hpp"
 
@@ -186,25 +184,6 @@ int main() {
         "[7] post-conv multiply: load-reduced spMM %8.2f ms | spGEMM "
         "(+recompress) %8.2f ms -> %.2fx slower\n",
         load_reduced, spgemm_ms, spgemm_ms / load_reduced);
-  }
-
-  // 8. Static int8 weight quantization composed with SNICIT: the paper's
-  // related-work axis (§2.2) — orthogonal to dynamic compression.
-  {
-    const auto& w = wl.net.weight(0);
-    const auto q = sparse::QuantizedCsr::from_csr(w);
-    dnn::DenseMatrix out(wl.input.rows(), wl.input.cols());
-    const double float_ms = platform::time_best_ms(
-        [&] { sparse::spmm_gather(w, wl.input, out); });
-    const double int8_ms = platform::time_best_ms(
-        [&] { sparse::spmm_quantized(q, wl.input, out); });
-    std::printf(
-        "[8] weight storage    : float spMM %8.2f ms | int8 spMM %8.2f ms "
-        "(payload %.1fx smaller, max quant err %.2g)\n",
-        float_ms, int8_ms,
-        static_cast<double>(w.values().size() * 4) /
-            static_cast<double>(q.payload_bytes()),
-        static_cast<double>(q.max_quantization_error(w)));
   }
   return 0;
 }

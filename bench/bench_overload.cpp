@@ -199,10 +199,9 @@ int main(int argc, char** argv) {
   };
 
   // Virtual capacity: ms of service bought per request at full batches.
-  const serve::ReplayOptions probe = make_options(false);
   const double per_request_ms =
-      probe.service_col_ms +
-      probe.service_base_ms / static_cast<double>(max_batch);
+      serve::kReplayServiceColMs +
+      serve::kReplayServiceBaseMs / static_cast<double>(max_batch);
 
   std::printf(
       "%zu requests/cell, max batch %zu, fill timeout %.1f ms, deadline "

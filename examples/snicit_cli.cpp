@@ -160,10 +160,9 @@ Workload build_workload(const platform::CliArgs& args) {
   return {std::move(net), std::move(input)};
 }
 
-// spMM kernel policy from flags on top of the environment: SNICIT_SPMM
-// sets the baseline, --spmm overrides it.
+// spMM kernel policy from --spmm; without it the cost model picks.
 sparse::SpmmPolicy cli_spmm_policy(const platform::CliArgs& args) {
-  sparse::SpmmPolicy policy = sparse::SpmmPolicy::from_env();
+  sparse::SpmmPolicy policy;
   if (args.has("spmm")) {
     const std::string name = args.get("spmm", "auto");
     if (!sparse::apply_spmm_spec(name, policy)) {

@@ -8,6 +8,7 @@
 
 #include "data/synthetic.hpp"
 #include "radixnet/radixnet.hpp"
+#include "snicit/convergence.hpp"
 #include "snicit/engine.hpp"
 
 int main(int argc, char** argv) {
@@ -64,8 +65,9 @@ int main(int argc, char** argv) {
   const auto& trace = engine.last_trace();
   for (std::size_t i = 0; i < trace.change_fraction.size(); ++i) {
     std::printf("  layer %3zu: %.3f%s\n", i + 1, trace.change_fraction[i],
-                trace.change_fraction[i] <= dyn.auto_level ? "  <- clustered"
-                                                           : "");
+                trace.change_fraction[i] <= core::kConvergenceLevel
+                    ? "  <- clustered"
+                    : "");
   }
   return 0;
 }

@@ -13,8 +13,7 @@
 #
 # Every engine under every forced kernel arm and both epilogues is pinned
 # by test_golden in tier1 (one golden digest per workload, whatever the
-# arm), so this lane runs no per-arm tier1 loop. Such a loop could not
-# force anything anyway: only snicit_cli reads SNICIT_SPMM.
+# arm), so this lane runs no per-arm tier1 loop.
 #
 #   scripts/ci_perf_lane.sh [build-dir]     (default: build-perf)
 #

@@ -6,11 +6,17 @@
 #include "platform/common.hpp"
 #include "platform/thread_pool.hpp"
 #include "platform/timer.hpp"
+#include "sparse/ell.hpp"
 #include "sparse/spmm.hpp"
 
 namespace snicit::baselines {
 
 namespace {
+
+/// Activation-density bucket edges: [0, low) -> bucket 0,
+/// [low, high) -> bucket 1, [high, 1] -> bucket 2.
+constexpr double kLowDensity = 0.15;
+constexpr double kHighDensity = 0.6;
 
 void run_arm(sparse::SpmmVariant variant, const sparse::SpmmPolicy& base,
              const dnn::SparseDnn& net, std::size_t layer,
@@ -33,8 +39,6 @@ void run_arm(sparse::SpmmVariant variant, const sparse::SpmmPolicy& base,
 AutotuneEngine::AutotuneEngine(AutotuneOptions options)
     : options_(options) {
   SNICIT_CHECK(options_.trial_rounds >= 1, "trial_rounds must be >= 1");
-  SNICIT_CHECK(options_.low_density <= options_.high_density,
-               "density buckets must be ordered");
 }
 
 std::vector<sparse::SpmmVariant> AutotuneEngine::arm_list() const {
@@ -55,7 +59,8 @@ std::vector<sparse::SpmmVariant> AutotuneEngine::arm_list() const {
 dnn::RunResult AutotuneEngine::run(const dnn::SparseDnn& net,
                                    const dnn::DenseMatrix& input) {
   net.ensure_csc();
-  const bool use_ell = net.weight_ell(0).padding_ratio() <= 0.1;
+  const bool use_ell =
+      net.weight_ell(0).padding_ratio() <= sparse::kMaxEllPadding;
   if (use_ell) net.ensure_ell();
 
   const auto arms = arm_list();
@@ -82,7 +87,7 @@ dnn::RunResult AutotuneEngine::run(const dnn::SparseDnn& net,
   }
 
   const std::size_t probe_n =
-      std::min(options_.density_probe_columns,
+      std::min(sparse::kDensityProbeColumns,
                std::max<std::size_t>(1, input.cols()));
   std::vector<sparse::Index> probe(probe_n);
   for (std::size_t j = 0; j < probe_n; ++j) {
@@ -97,9 +102,9 @@ dnn::RunResult AutotuneEngine::run(const dnn::SparseDnn& net,
 
   for (std::size_t layer = 0; layer < net.num_layers(); ++layer) {
     const double density = sparse::estimate_column_density(cur, probe);
-    const int bucket = density < options_.low_density ? 0
-                       : density < options_.high_density ? 1
-                                                         : 2;
+    const int bucket = density < kLowDensity    ? 0
+                       : density < kHighDensity ? 1
+                                                : 2;
     auto& state = buckets[static_cast<std::size_t>(bucket)];
 
     const int committed = committed_[static_cast<std::size_t>(bucket)];

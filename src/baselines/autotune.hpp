@@ -21,12 +21,6 @@ struct AutotuneOptions {
   /// Layers spent trialling each kernel arm before committing (per
   /// density bucket).
   int trial_rounds = 1;
-  /// Activation-density bucket edges: [0, low) -> bucket 0,
-  /// [low, high) -> bucket 1, [high, 1] -> bucket 2.
-  double low_density = 0.15;
-  double high_density = 0.6;
-  /// Columns probed for the density estimate.
-  std::size_t density_probe_columns = 16;
   /// Kernel policy. variant == kAuto trials the full arm list; a forced
   /// variant pins every layer to that kernel and skips the trials.
   sparse::SpmmPolicy policy = {};

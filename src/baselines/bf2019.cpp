@@ -85,7 +85,8 @@ void Bf2019Engine::run_into(const dnn::SparseDnn& net,
   // first partition's columns (partitions see statistically identical
   // activations — inputs are shuffled).
   auto& probe = ws.vec(platform::Workspace::kColumns,
-                       std::min<std::size_t>(batch, 16));
+                       std::min<std::size_t>(batch,
+                                             sparse::kDensityProbeColumns));
   for (std::size_t j = 0; j < probe.size(); ++j) {
     probe[j] = static_cast<sparse::Index>(j);
   }

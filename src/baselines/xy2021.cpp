@@ -7,6 +7,7 @@
 #include "platform/metrics.hpp"
 #include "platform/timer.hpp"
 #include "platform/trace.hpp"
+#include "sparse/ell.hpp"
 #include "sparse/spmm.hpp"
 
 namespace snicit::baselines {
@@ -30,8 +31,7 @@ void Xy2021Engine::run_into(const dnn::SparseDnn& net,
   // The dense arm runs on the ELL layout when the weight grid is regular
   // enough (fixed fan-in: zero padding).
   const bool use_ell =
-      options_.prefer_ell &&
-      net.weight_ell(0).padding_ratio() <= options_.max_ell_padding;
+      net.weight_ell(0).padding_ratio() <= sparse::kMaxEllPadding;
   if (use_ell) net.ensure_ell();
 
   const std::size_t rows = input.rows();
@@ -53,8 +53,7 @@ void Xy2021Engine::run_into(const dnn::SparseDnn& net,
   // Density probes reuse a fixed prefix of columns; inputs are shuffled,
   // so a prefix is an unbiased sample.
   const std::size_t probe_n =
-      std::min(options_.density_probe_columns,
-               std::max<std::size_t>(1, batch));
+      std::min(sparse::kDensityProbeColumns, std::max<std::size_t>(1, batch));
   auto& probe = ws.vec(platform::Workspace::kColumns, probe_n);
   for (std::size_t j = 0; j < probe_n; ++j) {
     probe[j] = static_cast<sparse::Index>(j);

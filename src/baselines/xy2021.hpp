@@ -12,18 +12,11 @@
 namespace snicit::baselines {
 
 struct Xy2021Options {
-  /// Columns sampled when estimating activation density per layer.
-  std::size_t density_probe_columns = 16;
   /// Kernel-space policy: kAuto explores the library's full optimisation
   /// space (scalar/SIMD/threaded gather, scalar/blocked scatter) with the
   /// analytic cost model in sparse/spmm_policy.hpp; a forced variant pins
   /// one arm.
   sparse::SpmmPolicy policy = {};
-  /// Use the regular ELLPACK layout for the dense arm when the weights
-  /// have (near-)uniform fan-in — the champions' preferred layout on the
-  /// fixed-32-fan-in SDGC nets.
-  bool prefer_ell = true;
-  double max_ell_padding = 0.10;
 };
 
 class Xy2021Engine final : public dnn::InferenceEngine {

@@ -19,6 +19,10 @@ namespace {
 
 using platform::ErrorCode;
 
+/// Idle poll interval of the threaded server loop: an idle intake
+/// re-checks the shutdown flag this often instead of blocking forever.
+constexpr double kShutdownPollMs = 25.0;
+
 std::size_t default_round_limit(const ServeOptions& options) {
   if (options.round_limit != 0) return options.round_limit;
   const std::size_t workers = options.workers != 0
@@ -59,7 +63,7 @@ DynamicBatcher::DynamicBatcher(dnn::InferenceEngine& engine,
       net_(&net),
       options_(std::move(options)),
       round_limit_(default_round_limit(options_)),
-      packer_(make_packer(options_.packer, options_.similarity_threshold)),
+      packer_(make_packer(options_.packer)),
       controller_(options_.controller
                       ? options_.controller
                       : (options_.admission.enabled
@@ -73,8 +77,8 @@ DynamicBatcher::DynamicBatcher(dnn::InferenceEngine& engine,
   reject(options_.batch_timeout_ms >= 0.0,
          "batch_timeout_ms must be non-negative");
   reject(options_.max_attempts >= 1, "max_attempts must be >= 1");
-  reject(options_.retry_backoff_ms >= 0.0 && options_.max_backoff_ms >= 0.0,
-         "retry backoff times must be non-negative");
+  reject(options_.retry_backoff_ms >= 0.0,
+         "retry_backoff_ms must be non-negative");
   if (options_.tenant.empty()) {
     metric_prefix_ = "serve.";
     span_round_ = "serve.round";
@@ -262,7 +266,7 @@ void DynamicBatcher::serve_loop() {
             ? controller_->effective_timeout_ms(options_.batch_timeout_ms)
             : options_.batch_timeout_ms;
     std::vector<ServeRequest> requests = queue_.collect(
-        round_limit_, wait_ms, options_.shutdown_poll_ms);
+        round_limit_, wait_ms, kShutdownPollMs);
     if (requests.empty()) {
       if (queue_.closed() && queue_.size() == 0) break;  // drained
       continue;  // idle poll: re-check the shutdown flag
@@ -408,7 +412,6 @@ void DynamicBatcher::serve_round(std::vector<ServeRequest> requests) {
     popt.workers = options_.workers;
     popt.max_attempts = options_.max_attempts;
     popt.retry_backoff_ms = options_.retry_backoff_ms;
-    popt.max_backoff_ms = options_.max_backoff_ms;
     executor_ = std::make_unique<core::ParallelStreamExecutor>(popt);
   }
   const core::ParallelStreamExecutor& executor = *executor_;

@@ -63,8 +63,6 @@ struct ServeOptions {
   double batch_timeout_ms = 2.0;
   /// Packing strategy: "fifo" or "similarity".
   std::string packer = "similarity";
-  /// SimilarityPacker leader-match threshold (bit-agreement fraction).
-  double similarity_threshold = 0.75;
   /// Rows of the output kept per request (0 = full activation column).
   std::size_t keep_rows = 0;
   /// Engine-pool workers per round (ParallelStreamOptions::workers
@@ -81,7 +79,6 @@ struct ServeOptions {
   // Fault tolerance, forwarded to the executor per round.
   std::size_t max_attempts = 5;
   double retry_backoff_ms = 1.0;
-  double max_backoff_ms = 50.0;
 
   /// Overload control (serve/overload.hpp). Disabled by default: the
   /// intake blocks on a full queue exactly as before. Enabled, submits
@@ -110,9 +107,6 @@ struct ServeOptions {
   /// process-wide ShutdownController::global() (the one real signal
   /// handlers mark); tests inject their own.
   const platform::ShutdownController* shutdown = nullptr;
-  /// Idle poll interval of the threaded server loop: an idle intake
-  /// re-checks the shutdown flag this often instead of blocking forever.
-  double shutdown_poll_ms = 25.0;
 };
 
 /// Tag selecting the externally-driven batcher mode (no internal server

@@ -84,10 +84,6 @@ LoadReplayer::LoadReplayer(ReplayOptions options)
   SNICIT_CHECK(options_.max_batch >= 1, "replay max_batch must be >= 1");
   SNICIT_CHECK(options_.batch_timeout_ms >= 0.0,
                "replay batch timeout must be >= 0");
-  SNICIT_CHECK(options_.service_base_ms >= 0.0 &&
-                   options_.service_col_ms >= 0.0 &&
-                   options_.service_residue_ms >= 0.0,
-               "replay service model must be non-negative");
 }
 
 void LoadReplayer::add_tenant(const std::string& id,
@@ -136,8 +132,7 @@ ReplayReport LoadReplayer::run(const LoadScript& script) {
   std::size_t next_event = 0;
   std::size_t cursor = 0;  // round-robin lane cursor
 
-  auto configured_packer =
-      make_packer(options_.packer, options_.similarity_threshold);
+  auto configured_packer = make_packer(options_.packer);
   FifoPacker fifo_packer;
 
   // Durability hooks: admits/completes land in the journal as decisions
@@ -337,9 +332,8 @@ ReplayReport LoadReplayer::run(const LoadScript& script) {
     }
 
     const double service_ms =
-        options_.service_base_ms +
-        options_.service_col_ms * static_cast<double>(cols) +
-        options_.service_residue_ms * residue_nnz;
+        kReplayServiceBaseMs +
+        kReplayServiceColMs * static_cast<double>(cols);
     const double complete = now + service_ms;
     server_free_ms = complete;
     batch.service_ms = service_ms;

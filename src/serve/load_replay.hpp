@@ -10,7 +10,7 @@
 //
 //   * arrivals come from a seeded LoadScript, not from sleeps;
 //   * service time is charged by a deterministic service model
-//     (base + per-column (+ per-residue-nnz) milliseconds), not measured;
+//     (base + per-column milliseconds), not measured;
 //   * one virtual server serves tenant lanes round-robin, mirroring the
 //     Router's serialized-rounds discipline (at most one round in flight
 //     process-wide);
@@ -43,6 +43,12 @@ namespace snicit::serve {
 
 class JournalWriter;  // serve/journal.hpp (which includes this header)
 
+/// Deterministic virtual service-time model: one engine batch of `cols`
+/// columns costs kReplayServiceBaseMs + kReplayServiceColMs * cols on the
+/// virtual clock.
+inline constexpr double kReplayServiceBaseMs = 0.5;
+inline constexpr double kReplayServiceColMs = 0.25;
+
 struct ReplayOptions {
   /// Engine batch size (one virtual round serves one engine batch).
   std::size_t max_batch = 16;
@@ -52,21 +58,11 @@ struct ReplayOptions {
   /// queue's deadline-aware coalescing.
   double batch_timeout_ms = 2.0;
   std::string packer = "similarity";
-  double similarity_threshold = 0.75;
   std::size_t keep_rows = 0;
   /// admission.enabled = false replays the uncontrolled baseline: every
   /// arrival is accepted, nothing is shed, the ladder never moves.
   AdmissionOptions admission;
 
-  // Deterministic virtual service-time model: what one engine batch
-  // costs on the virtual clock.
-  double service_base_ms = 0.5;
-  double service_col_ms = 0.25;
-  /// Surcharge per output-residue nonzero (see ReplayReport: the replay
-  /// residue signal is the batch output's nonzero count — deterministic,
-  /// and for SNICIT engines a direct echo of how well inference-time
-  /// compression worked on that batch).
-  double service_residue_ms = 0.0;
   /// false skips the engines entirely (scheduling-only replay: outputs
   /// empty, residue 0). The offered-load sweeps use this to explore big
   /// grids cheaply.

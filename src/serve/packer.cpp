@@ -110,12 +110,9 @@ const std::vector<std::string>& known_packers() {
   return names;
 }
 
-std::unique_ptr<BatchPacker> make_packer(const std::string& name,
-                                         double similarity_threshold) {
+std::unique_ptr<BatchPacker> make_packer(const std::string& name) {
   if (name == "fifo") return std::make_unique<FifoPacker>();
-  if (name == "similarity") {
-    return std::make_unique<SimilarityPacker>(similarity_threshold);
-  }
+  if (name == "similarity") return std::make_unique<SimilarityPacker>();
   throw platform::ErrorException(
       platform::ErrorCode::kBadInput,
       "unknown packer '" + name + "' (expected fifo|similarity)");

@@ -91,7 +91,6 @@ const std::vector<std::string>& known_packers();
 /// Factory used by the CLI/bench flags: "fifo" or "similarity". Unknown
 /// names throw a typed kBadInput error (a typo must not silently serve
 /// FIFO and report the wrong packing numbers).
-std::unique_ptr<BatchPacker> make_packer(const std::string& name,
-                                         double similarity_threshold = 0.75);
+std::unique_ptr<BatchPacker> make_packer(const std::string& name);
 
 }  // namespace snicit::serve

@@ -18,12 +18,16 @@ namespace snicit::core {
 
 using sparse::DenseMatrix;
 
+/// Detector level SnicitParams::auto_threshold runs at.
+inline constexpr float kConvergenceLevel = 0.05f;
+
 class ConvergenceDetector {
  public:
   /// `level` — convergence fires when the mean nearest-neighbour distance
   /// (fraction of probed rows differing by more than `eta`) stays at or
   /// below this for two consecutive layers.
-  explicit ConvergenceDetector(float level = 0.05f, float eta = 0.03f,
+  explicit ConvergenceDetector(float level = kConvergenceLevel,
+                               float eta = 0.03f,
                                std::size_t probe_columns = 24,
                                std::size_t probe_rows = 256);
 

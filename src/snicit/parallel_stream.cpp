@@ -28,6 +28,9 @@ namespace {
 namespace fault = platform::fault;
 using platform::ErrorCode;
 
+/// Cap on the doubling per-batch retry backoff.
+constexpr double kMaxBackoffMs = 50.0;
+
 /// One unit of work: a sliced batch plus where its results belong and
 /// its fault-tolerance state (tries consumed, age for the deadline).
 struct BatchJob {
@@ -226,7 +229,7 @@ struct RunState {
       const double backoff =
           std::min(options.retry_backoff_ms *
                        std::pow(2.0, static_cast<double>(job.attempts - 1)),
-                   options.max_backoff_ms);
+                   kMaxBackoffMs);
       if (backoff > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
             backoff));
@@ -254,7 +257,6 @@ ParallelStreamExecutor::ParallelStreamExecutor(ParallelStreamOptions options)
   SNICIT_CHECK(options_.batch_size >= 1, "batch_size must be >= 1");
   SNICIT_CHECK(options_.max_attempts >= 1, "max_attempts must be >= 1");
   SNICIT_CHECK(options_.retry_backoff_ms >= 0.0 &&
-                   options_.max_backoff_ms >= 0.0 &&
                    options_.batch_deadline_ms >= 0.0,
                "retry/backoff/deadline times must be non-negative");
 }

@@ -49,9 +49,8 @@ struct ParallelStreamOptions {
   /// faulted.
   std::size_t max_attempts = 5;
   /// First-retry backoff; doubles per subsequent attempt of the same
-  /// batch, capped at max_backoff_ms.
+  /// batch, capped at 50 ms.
   double retry_backoff_ms = 1.0;
-  double max_backoff_ms = 50.0;
   /// Per-batch deadline measured from when the batch is sliced (so queue
   /// wait counts). An attempt is not started past the deadline; the batch
   /// fails with ErrorCode::kTimeout. 0 disables deadlines.
@@ -70,8 +69,9 @@ class ParallelStreamExecutor {
   /// any stateful engine (centroid cache, autotuned arms) exactly as the
   /// serial path would, so the clones inherit identical state and the
   /// result is bit-identical to stream_inference. Throws
-  /// std::invalid_argument when more than one worker is requested and the
-  /// engine does not support clone().
+  /// platform::ErrorException (kBadInput, a std::runtime_error) when more
+  /// than one worker is requested and the engine does not support
+  /// clone().
   ///
   /// StreamResult::total_ms is the wall time of the whole run (so
   /// throughput() measures the overlapped serving rate); batch_ms[j] and

@@ -38,14 +38,10 @@ struct SnicitParams {
   int ne_refresh_interval = 1;
 
   /// Future-work feature (paper §5): detect convergence during the
-  /// pre-convergence phase and pick t dynamically. When enabled,
-  /// threshold_layer acts as an upper bound.
+  /// pre-convergence phase and pick t dynamically (ConvergenceDetector at
+  /// kConvergenceLevel). When enabled, threshold_layer acts as an upper
+  /// bound.
   bool auto_threshold = false;
-
-  /// Detector sensitivity: conversion triggers once the batch's mean
-  /// nearest-neighbour column distance (see ConvergenceDetector) stays at
-  /// or below this level for two consecutive layers.
-  float auto_level = 0.05f;
 
   /// spMM kernel choice for both phases (§3.1: SNICIT does not constrain
   /// the kernel; any champion implementation can be dropped in). The

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "platform/common.hpp"
 
@@ -37,7 +38,13 @@ float DenseMatrix::max_abs_diff(const DenseMatrix& a, const DenseMatrix& b) {
   float m = 0.0f;
   const std::size_t n = a.rows() * a.cols();
   for (std::size_t i = 0; i < n; ++i) {
-    m = std::max(m, std::fabs(a.data()[i] - b.data()[i]));
+    const float x = a.data()[i];
+    const float y = b.data()[i];
+    // std::max(m, NaN) keeps m, which would hide the NaN.
+    if (std::isnan(x) || std::isnan(y)) {
+      return std::numeric_limits<float>::infinity();
+    }
+    m = std::max(m, std::fabs(x - y));
   }
   return m;
 }

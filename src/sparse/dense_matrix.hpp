@@ -77,6 +77,8 @@ class DenseMatrix {
   std::size_t column_nonzeros(std::size_t j, float tol = 0.0f) const;
 
   /// Largest |a - b| over all entries; matrices must have equal shape.
+  /// +infinity when either matrix holds a NaN, so a `<= tol` check never
+  /// passes a NaN output.
   static float max_abs_diff(const DenseMatrix& a, const DenseMatrix& b);
 
  private:

@@ -14,6 +14,11 @@
 
 namespace snicit::sparse {
 
+/// Engines run their scalar gather arm on ELL when at most this share of
+/// the grid is padding: (near-)uniform fan-in, as on the fixed-32-fan-in
+/// SDGC nets, the champions' preferred layout.
+inline constexpr double kMaxEllPadding = 0.10;
+
 class EllMatrix {
  public:
   EllMatrix() = default;

@@ -163,6 +163,10 @@ void apply_bias_activation(DenseMatrix& y, float bias, float ymax);
 void apply_bias_activation_cols(DenseMatrix& y, std::span<const Index> columns,
                                 const BiasAct& epi);
 
+/// Columns the baseline engines' per-layer density estimate probes: a
+/// fixed prefix, unbiased because inputs are shuffled.
+inline constexpr std::size_t kDensityProbeColumns = 16;
+
 /// Fraction of nonzero entries in the listed columns (density estimator
 /// used by the XY-2021-style cost model). Samples at most `max_rows` rows
 /// per column for large matrices.

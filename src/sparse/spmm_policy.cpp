@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "platform/common.hpp"
-#include "platform/env.hpp"
 #include "platform/fault_injection.hpp"
 #include "platform/thread_pool.hpp"
 #include "sparse/spmm.hpp"
@@ -72,15 +71,6 @@ bool apply_spmm_spec(std::string_view spec, SpmmPolicy& policy) {
   policy.variant = *v;
   policy.epilogue = epi;
   return true;
-}
-
-SpmmPolicy SpmmPolicy::from_env() {
-  SpmmPolicy policy;
-  const std::string name = platform::env_string("SNICIT_SPMM", "");
-  if (!name.empty()) {
-    apply_spmm_spec(name, policy);
-  }
-  return policy;
 }
 
 namespace {

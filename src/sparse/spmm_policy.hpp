@@ -10,8 +10,7 @@
 // measured activation density, weight nnz/row, batch width, and
 // thread-pool size. `SpmmPolicy` is the only input to that choice: its
 // `variant` pins one arm for the whole run (the regression suites sweep
-// every arm this way) or leaves it to the model, and SNICIT_SPMM gives the
-// same control from the environment for serving deployments.
+// every arm this way) or leaves it to the model.
 //
 // The policy additionally carries an *epilogue* dimension: the dispatch
 // entry points that take a bias+activation epilogue
@@ -20,12 +19,11 @@
 // apply_bias_activation when SpmmEpilogue::kSplit is forced — the A/B
 // lever the golden digests and perf gates sweep. A forcing spec is
 // "VARIANT[+EPILOGUE]" (e.g. "gather_simd+split") or a bare epilogue name
-// ("fused"/"split"), accepted by SNICIT_SPMM and --spmm alike.
+// ("fused"/"split"), as snicit_cli's --spmm flag takes it.
 #pragma once
 
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "sparse/csc.hpp"
@@ -47,7 +45,7 @@ enum class SpmmVariant : int {
 /// Number of concrete (non-auto) variants.
 inline constexpr int kNumSpmmVariants = 5;
 
-/// Stable lowercase name ("gather_simd", ...), used by flags/env/JSON.
+/// Stable lowercase name ("gather_simd", ...), used by flags and JSON.
 const char* to_string(SpmmVariant v);
 
 /// Inverse of to_string; also accepts "auto". Returns nullopt on junk.
@@ -61,7 +59,7 @@ enum class SpmmEpilogue : int {
   kSplit = 1,
 };
 
-/// Stable lowercase name ("fused" / "split"), used by flags/env/JSON.
+/// Stable lowercase name ("fused" / "split"), used by flags and JSON.
 const char* to_string(SpmmEpilogue e);
 
 /// Inverse of to_string(SpmmEpilogue). Returns nullopt on junk.
@@ -74,10 +72,6 @@ struct SpmmPolicy {
   /// bias + clipped ReLU at the kernel store; kSplit keeps the separate
   /// apply_bias_activation pass (same bits, one extra sweep over Y).
   SpmmEpilogue epilogue = SpmmEpilogue::kFused;
-
-  /// Policy from SNICIT_SPMM (a "VARIANT[+EPILOGUE]" spec); unset or
-  /// invalid specs keep the defaults above.
-  static SpmmPolicy from_env();
 };
 
 /// Applies a forcing spec to `policy`: "VARIANT", "VARIANT+EPILOGUE", or a

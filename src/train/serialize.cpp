@@ -1,5 +1,6 @@
 #include "train/serialize.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -78,6 +79,16 @@ std::vector<T> read_vec_expect(std::FILE* f, std::uint64_t expected,
   return v;
 }
 
+/// A NaN or infinity in a value inference reads would poison every
+/// output it reaches, so the loader rejects it, as the TSV loader does.
+void require_finite(float v, const char* what) {
+  if (!std::isfinite(v)) {
+    throw ErrorException(ErrorCode::kBadModelFile,
+                         std::string("corrupt model file: non-finite ") +
+                             what);
+  }
+}
+
 void write_layer(std::FILE* f, const SparseLinear& layer) {
   write_pod<std::uint64_t>(f, layer.in_dim());
   write_pod<std::uint64_t>(f, layer.out_dim());
@@ -97,6 +108,11 @@ void read_layer_into(std::FILE* f, SparseLinear& layer) {
   auto w = read_vec_expect<float>(f, elems, "weights");
   auto m = read_vec_expect<std::uint8_t>(f, elems, "mask");
   auto b = read_vec_expect<float>(f, out, "bias");
+  // restore() zeroes masked-out weights, so only kept ones must be finite.
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    if (m[i] != 0) require_finite(w[i], "weight");
+  }
+  for (const float v : b) require_finite(v, "bias");
   layer.restore(std::move(w), std::move(m), std::move(b));
 }
 
@@ -158,6 +174,7 @@ platform::Result<SparseMlp> try_load_mlp(const std::string& path) {
         static_cast<std::size_t>(checked_dim(f.get(), "classes"));
     opt.density = read_pod<double>(f.get());
     opt.ymax = read_pod<float>(f.get());
+    require_finite(opt.ymax, "ymax");
     opt.seed = read_pod<std::uint64_t>(f.get());
     if (opt.sparse_layers > kMaxDim) {
       throw ErrorException(ErrorCode::kBadModelFile,

@@ -17,7 +17,8 @@ void save_mlp(const SparseMlp& mlp, const std::string& path);
 
 /// Reads a model written by save_mlp. Fails with kBadModelFile on I/O or
 /// format errors: bad magic, implausible dimensions, truncated or
-/// size-inconsistent layer payloads, trailing bytes after the last layer.
+/// size-inconsistent layer payloads, a non-finite kept weight, bias or
+/// ymax, trailing bytes after the last layer.
 /// Every check runs before the bytes reach SparseLinear::restore, whose
 /// size contract is an internal invariant (SNICIT_CHECK aborts).
 platform::Result<SparseMlp> try_load_mlp(const std::string& path);

@@ -1,7 +1,7 @@
-// Fluent construction of SparseDnn models from per-layer specifications —
-// the programmatic entry point for users bringing their own topologies
-// (random Erdős–Rényi layers, banded layers, explicit triplets) rather
-// than the Radix-Net generator or a trained MLP.
+// Test fixture: fluent construction of SparseDnn models from per-layer
+// specifications (random Erdős–Rényi layers, banded layers, explicit
+// triplets), for suites that need hand-made topologies rather than the
+// Radix-Net generator or a trained MLP.
 #pragma once
 
 #include <cstdint>

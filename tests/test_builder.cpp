@@ -1,4 +1,4 @@
-#include "dnn/builder.hpp"
+#include "builder.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace snicit::sparse {
 namespace {
 
@@ -105,6 +107,19 @@ TEST(DenseMatrix, MaxAbsDiff) {
   b.at(0, 0) = -0.5f;
   EXPECT_FLOAT_EQ(DenseMatrix::max_abs_diff(a, b), 2.0f);
   EXPECT_FLOAT_EQ(DenseMatrix::max_abs_diff(a, a), 0.0f);
+}
+
+TEST(DenseMatrix, MaxAbsDiffIsInfiniteOnNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  DenseMatrix a(2, 2);
+  DenseMatrix b(2, 2);
+  a.at(0, 1) = nan;
+  EXPECT_EQ(DenseMatrix::max_abs_diff(a, b),
+            std::numeric_limits<float>::infinity());
+  EXPECT_EQ(DenseMatrix::max_abs_diff(b, a),
+            std::numeric_limits<float>::infinity());
+  EXPECT_EQ(DenseMatrix::max_abs_diff(a, a),
+            std::numeric_limits<float>::infinity());
 }
 
 TEST(DenseMatrix, FillOverwritesEverything) {

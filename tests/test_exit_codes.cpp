@@ -29,6 +29,10 @@ const char kTinyNet[] = "--neurons 64 --layers 4 --batch 8";
 TEST(ExitCodes, CleanRunExitsZero) {
   EXPECT_EQ(run_cli(std::string("run ") + kTinyNet + " --engine reference"),
             0);
+  // --spmm forces the kernel and epilogue of the default SNICIT engine.
+  EXPECT_EQ(run_cli(std::string("run ") + kTinyNet +
+                    " --spmm gather_simd+split"),
+            0);
 }
 
 TEST(ExitCodes, UsageErrorsExitTwo) {
@@ -40,6 +44,7 @@ TEST(ExitCodes, UsageErrorsExitTwo) {
   EXPECT_EQ(run_cli(std::string("run ") + kTinyNet +
                     " --engine reference --no-such-flag 1"),
             2);
+  EXPECT_EQ(run_cli(std::string("run ") + kTinyNet + " --spmm warp"), 2);
   EXPECT_EQ(run_cli("verify-manifest"), 2);       // --models is required
 }
 

@@ -12,8 +12,8 @@
 #include "baselines/serial.hpp"
 #include "baselines/snig2020.hpp"
 #include "baselines/xy2021.hpp"
+#include "builder.hpp"
 #include "data/synthetic.hpp"
-#include "dnn/builder.hpp"
 #include "dnn/reference.hpp"
 #include "platform/rng.hpp"
 #include "radixnet/radixnet.hpp"

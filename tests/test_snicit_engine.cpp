@@ -179,7 +179,6 @@ TEST(SnicitEngine, AutoThresholdPicksEarlierLayer) {
   auto [net, input] = make_test_net(24, 3);
   auto params = default_params(24);  // upper bound: whole net
   params.auto_threshold = true;
-  params.auto_level = 0.05f;
   params.record_trace = true;
   SnicitEngine engine(params);
   const auto result = engine.run(net, input);

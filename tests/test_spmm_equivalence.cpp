@@ -406,16 +406,6 @@ TEST(SpmmPolicy, CostModelPrefersBlockedGatherOnWideDenseBatches) {
                    spmm_variant_cost(SpmmVariant::kGatherScalar, p, policy));
 }
 
-TEST(SpmmPolicy, FromEnvParsesVariantAndTile) {
-  ::setenv("SNICIT_SPMM", "scatter_simd", 1);
-  const auto policy = SpmmPolicy::from_env();
-  EXPECT_EQ(policy.variant, SpmmVariant::kScatterSimd);
-  ::setenv("SNICIT_SPMM", "not-a-kernel", 1);
-  const auto junk = SpmmPolicy::from_env();
-  EXPECT_EQ(junk.variant, SpmmVariant::kAuto);
-  ::unsetenv("SNICIT_SPMM");
-}
-
 TEST(SpmmPolicy, SpecParsingCoversVariantEpilogueAndCombined) {
   SpmmPolicy p;
   ASSERT_EQ(p.epilogue, SpmmEpilogue::kFused);  // fused is the default
@@ -436,26 +426,15 @@ TEST(SpmmPolicy, SpecParsingCoversVariantEpilogueAndCombined) {
   EXPECT_EQ(p.variant, SpmmVariant::kScatter);
   EXPECT_EQ(p.epilogue, SpmmEpilogue::kSplit);
 
-  // Junk in either half rejects without touching the policy.
+  // Junk, bare or in either half, rejects without touching the policy.
   const SpmmPolicy before = p;
+  EXPECT_FALSE(apply_spmm_spec("not-a-kernel", p));
   EXPECT_FALSE(apply_spmm_spec("gather+turbo", p));
   EXPECT_FALSE(apply_spmm_spec("warp+fused", p));
   EXPECT_FALSE(apply_spmm_spec("gather+", p));
   EXPECT_FALSE(apply_spmm_spec("", p));
   EXPECT_EQ(p.variant, before.variant);
   EXPECT_EQ(p.epilogue, before.epilogue);
-}
-
-TEST(SpmmPolicy, FromEnvParsesEpilogueSpec) {
-  ::setenv("SNICIT_SPMM", "gather_threaded+split", 1);
-  auto policy = SpmmPolicy::from_env();
-  EXPECT_EQ(policy.variant, SpmmVariant::kGatherThreaded);
-  EXPECT_EQ(policy.epilogue, SpmmEpilogue::kSplit);
-  ::setenv("SNICIT_SPMM", "split", 1);
-  policy = SpmmPolicy::from_env();
-  EXPECT_EQ(policy.variant, SpmmVariant::kAuto);
-  EXPECT_EQ(policy.epilogue, SpmmEpilogue::kSplit);
-  ::unsetenv("SNICIT_SPMM");
 }
 
 TEST(SpmmPolicy, EpilogueCostFreeWhenFusedUniformWhenSplit) {
