@@ -19,7 +19,7 @@
 #include "snicit/sample_prune.hpp"
 #include "snicit/sampling.hpp"
 #include "sparse/spgemm.hpp"
-#include "sparse/spmm.hpp"
+#include "sparse/spmm_policy.hpp"
 
 namespace {
 
@@ -172,8 +172,11 @@ int main() {
     dnn::DenseMatrix scratch(y_t.rows(), y_t.cols());
 
     const double load_reduced = platform::time_best_ms([&] {
-      sparse::spmm_scatter_cols(wl.net.weight_csc(layer), batch.yhat,
-                                batch.ne_idx, scratch);
+      // The scalar scatter arm, forced (it never reads the density).
+      sparse::spmm_dispatch_cols(wl.net.weight(layer),
+                                 &wl.net.weight_csc(layer), batch.yhat,
+                                 batch.ne_idx, scratch, /*density=*/1.0,
+                                 {sparse::SpmmVariant::kScatter});
     });
     const double spgemm_ms = platform::time_best_ms([&] {
       // The spGEMM route must recompress Ŷ every layer, then multiply.

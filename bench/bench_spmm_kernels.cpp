@@ -4,8 +4,9 @@
 //
 //   bench_spmm_kernels [--out FILE] [--check] [--neurons N] [--reps R]
 //
-// Each cell additionally times the kernel's fused-epilogue form against
-// the split A/B (kernel, then a separate apply_bias_activation sweep)
+// Every arm runs through spmm_dispatch* with a forced SpmmPolicy. Each
+// cell additionally times the arm with its fused epilogue against the
+// split A/B (kernel, then a separate apply_bias_activation sweep)
 // and counts heap allocations during a steady-state fused run — the two
 // claims of the fused-epilogue/zero-allocation PR, measured.
 //
@@ -130,53 +131,21 @@ const std::vector<sparse::SpmmVariant>& kernel_grid() {
   return kernels;
 }
 
+// A forced arm never consults the density estimate.
+constexpr double kUnusedDensity = 1.0;
+
 void run_kernel(sparse::SpmmVariant v, Workload& wl) {
-  switch (v) {
-    case sparse::SpmmVariant::kGatherScalar:
-      sparse::spmm_gather(wl.w, wl.y, wl.out);
-      break;
-    case sparse::SpmmVariant::kGatherSimd:
-      sparse::spmm_gather_simd(wl.w, wl.y, wl.out);
-      break;
-    case sparse::SpmmVariant::kGatherThreaded:
-      sparse::spmm_gather_threaded(wl.w, wl.y, wl.out);
-      break;
-    case sparse::SpmmVariant::kScatter:
-      sparse::spmm_scatter(wl.w_csc, wl.y, wl.out);
-      break;
-    default:
-      sparse::spmm_scatter_simd(wl.w_csc, wl.y, wl.out);
-      break;
-  }
+  sparse::spmm_dispatch(wl.w, &wl.w_csc, wl.y, wl.out, kUnusedDensity, {v});
 }
 
-void run_kernel_fused(sparse::SpmmVariant v, Workload& wl,
-                      const sparse::BiasAct& epi) {
-  switch (v) {
-    case sparse::SpmmVariant::kGatherScalar:
-      sparse::spmm_gather_fused(wl.w, wl.y, wl.out, epi);
-      break;
-    case sparse::SpmmVariant::kGatherSimd:
-      sparse::spmm_gather_simd_fused(wl.w, wl.y, wl.out, epi);
-      break;
-    case sparse::SpmmVariant::kGatherThreaded:
-      sparse::spmm_gather_threaded_fused(wl.w, wl.y, wl.out, epi);
-      break;
-    case sparse::SpmmVariant::kScatter:
-      sparse::spmm_scatter_fused(wl.w_csc, wl.y, wl.out, epi);
-      break;
-    default:
-      sparse::spmm_scatter_simd_fused(wl.w_csc, wl.y, wl.out, epi);
-      break;
-  }
-}
-
-/// The split A/B arm the fused kernels replace: kernel, then a second
-/// read-modify-write sweep over the whole output.
-void run_kernel_split_epilogue(sparse::SpmmVariant v, Workload& wl,
-                               float ymax) {
-  run_kernel(v, wl);
-  sparse::apply_bias_activation(wl.out, wl.bias, ymax);
+/// The arm with the bias + clipped-ReLU epilogue: fused into the kernel
+/// (kFused) or, as the A/B arm the fused form replaces, the plain kernel
+/// followed by a second read-modify-write sweep over the output (kSplit).
+void run_kernel_epilogue(sparse::SpmmVariant v, Workload& wl,
+                         const sparse::BiasAct& epi,
+                         sparse::SpmmEpilogue mode) {
+  sparse::spmm_dispatch_fused(wl.w, &wl.w_csc, wl.y, wl.out, kUnusedDensity,
+                              epi, {v, mode});
 }
 
 /// Min-of-reps timing: one warmup, then enough repetitions that the total
@@ -249,10 +218,11 @@ std::pair<double, double> time_pair_ms(FnA&& a, FnB&& b, int min_reps) {
 std::size_t steady_allocs(sparse::SpmmVariant v, Workload& wl,
                           const sparse::BiasAct& epi) {
   platform::ScopedSerialRegion serial;
-  run_kernel_fused(v, wl, epi);
-  run_kernel_fused(v, wl, epi);
+  constexpr auto kFused = sparse::SpmmEpilogue::kFused;
+  run_kernel_epilogue(v, wl, epi, kFused);
+  run_kernel_epilogue(v, wl, epi, kFused);
   const std::size_t before = alloc_count();
-  run_kernel_fused(v, wl, epi);
+  run_kernel_epilogue(v, wl, epi, kFused);
   return alloc_count() - before;
 }
 
@@ -314,8 +284,14 @@ int main(int argc, char** argv) {
             },
             min_reps);
         const auto [fused_ms, split_ms] = time_pair_ms(
-            [&] { run_kernel_fused(variant, wl, epi); },
-            [&] { run_kernel_split_epilogue(variant, wl, kYmax); },
+            [&] {
+              run_kernel_epilogue(variant, wl, epi,
+                                  sparse::SpmmEpilogue::kFused);
+            },
+            [&] {
+              run_kernel_epilogue(variant, wl, epi,
+                                  sparse::SpmmEpilogue::kSplit);
+            },
             min_reps);
         const std::size_t allocs = steady_allocs(variant, wl, epi);
         cells.push_back({variant, density, batch, ms,

@@ -140,7 +140,7 @@ dnn::RunResult AutotuneEngine::run(const dnn::SparseDnn& net,
       }
     }
 
-    sparse::apply_bias_activation(next, net.bias(layer), net.ymax());
+    sparse::apply_bias_activation(next, {net.bias(layer), 0.0f, net.ymax()});
     std::swap(cur, next);
     result.layer_ms.push_back(ms);
   }

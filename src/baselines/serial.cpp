@@ -54,18 +54,23 @@ void SerialEngine::run_into(const dnn::SparseDnn& net,
       dst = &result.output;
     }
     // Deliberately naive: single thread, no activation-sparsity skipping,
-    // no blocking — the shape of the challenge's reference code.
+    // no blocking — the shape of the challenge's reference code. The row
+    // sum starts at zero and the bias is added after it, in the
+    // reference's order, so the output equals reference_forward bit for
+    // bit (starting the sum at the bias rounds differently).
     for (std::size_t j = 0; j < cur->cols(); ++j) {
       const float* in = cur->col(j);
       float* out = dst->col(j);
       for (dnn::Index r = 0; r < w.rows(); ++r) {
         const auto cols = w.row_cols(r);
         const auto vals = w.row_vals(r);
-        float acc = bias[static_cast<std::size_t>(r)];
+        float acc = 0.0f;
         for (std::size_t k = 0; k < cols.size(); ++k) {
           acc += vals[k] * in[cols[k]];
         }
-        out[r] = std::min(std::max(acc, 0.0f), net.ymax());
+        out[r] = std::min(std::max(acc + bias[static_cast<std::size_t>(r)],
+                                   0.0f),
+                          net.ymax());
       }
     }
     if (layer + 1 < layers) std::swap(cur, nxt);

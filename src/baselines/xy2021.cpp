@@ -109,17 +109,17 @@ void Xy2021Engine::run_into(const dnn::SparseDnn& net,
       result.output.reset(rows, batch, sparse::ZeroFill::kNo);
       dst = &result.output;
     }
+    const sparse::BiasAct epi{net.bias(layer), 0.0f, net.ymax()};
     if (variant == sparse::SpmmVariant::kGatherScalar && use_ell) {
       // The dense scalar arm runs on the regular ELL layout when the
       // weight grid allows it — the champions' preferred dense format.
       // No fused form exists for ELL, so the epilogue stays a separate
       // pass on this arm.
       sparse::spmm_ell(net.weight_ell(layer), *cur, *dst);
-      sparse::apply_bias_activation(*dst, net.bias(layer), net.ymax());
+      sparse::apply_bias_activation(*dst, epi);
     } else {
       sparse::SpmmPolicy forced = policy;
       forced.variant = variant;
-      const sparse::BiasAct epi{net.bias(layer), 0.0f, net.ymax()};
       sparse::spmm_dispatch_fused(net.weight(layer), &net.weight_csc(layer),
                                   *cur, *dst, density, epi, forced);
     }

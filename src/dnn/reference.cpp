@@ -16,7 +16,7 @@ DenseMatrix reference_forward(const SparseDnn& net, const DenseMatrix& input,
   DenseMatrix next(input.rows(), input.cols());
   for (std::size_t i = first; i < last; ++i) {
     sparse::spmm_gather(net.weight(i), cur, next);
-    sparse::apply_bias_activation(next, net.bias(i), net.ymax());
+    sparse::apply_bias_activation(next, {net.bias(i), 0.0f, net.ymax()});
     std::swap(cur, next);
   }
   return cur;
@@ -37,7 +37,7 @@ RunResult ReferenceEngine::run(const SparseDnn& net,
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     platform::Stopwatch layer;
     sparse::spmm_gather(net.weight(i), cur, next);
-    sparse::apply_bias_activation(next, net.bias(i), net.ymax());
+    sparse::apply_bias_activation(next, {net.bias(i), 0.0f, net.ymax()});
     std::swap(cur, next);
     result.layer_ms.push_back(layer.elapsed_ms());
   }

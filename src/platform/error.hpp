@@ -18,6 +18,7 @@
 // does not control.
 #pragma once
 
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -56,6 +57,12 @@ inline const char* to_string(ErrorCode code) {
     case ErrorCode::kResourceExhausted: return "resource_exhausted";
   }
   return "unknown";
+}
+
+/// gtest printer (found by argument-dependent lookup): a failed
+/// EXPECT_EQ on two codes prints "bad_model_file", not the enum's bytes.
+inline void PrintTo(ErrorCode code, std::ostream* os) {
+  *os << to_string(code);
 }
 
 /// A typed failure: what class of thing went wrong plus a human message

@@ -573,18 +573,11 @@ void DynamicBatcher::serve_round(std::vector<ServeRequest> requests) {
   }
   report_.batches += num_batches;
   if (controller_ != nullptr) {
-    // Close the control loop: this round's engine time (and, for SNICIT
-    // engines, the post-conversion residue gauge) feeds the cost model;
-    // re-evaluated pressure steps the brownout ladder.
-    double residue_nnz = 0.0;
-    if (instrumented && round_engine->name().rfind("SNICIT", 0) == 0) {
-      residue_nnz = metrics::MetricsRegistry::global()
-                        .gauge("snicit.conversion_residue_nnz")
-                        .get();
-    }
+    // Close the control loop: this round's engine time feeds the cost
+    // model; re-evaluated pressure steps the brownout ladder.
     controller_->on_round(options_.tenant, n,
                           round_failed ? 0.0 : streamed.total_ms,
-                          residue_nnz, wall_.elapsed_ms());
+                          wall_.elapsed_ms());
     report_.max_brownout_level =
         std::max(report_.max_brownout_level,
                  static_cast<int>(controller_->level()));

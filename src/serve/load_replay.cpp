@@ -306,7 +306,6 @@ ReplayReport LoadReplayer::run(const LoadScript& script) {
       batch.request_indices.push_back(taken[order[j]]);
     }
 
-    double residue_nnz = 0.0;
     bool failed = false;
     core::StreamResult result;
     if (options_.run_engines) {
@@ -322,10 +321,6 @@ ReplayReport LoadReplayer::run(const LoadScript& script) {
         result = core::stream_inference(
             *engine, *lane.net, input,
             {/*batch_size=*/cols, /*keep_rows=*/options_.keep_rows});
-        // The replay residue signal: the batch output's nonzero count. A
-        // deterministic stand-in for conversion_residue_nnz with the same
-        // meaning — how much the batch resisted compression.
-        residue_nnz = static_cast<double>(result.outputs.count_nonzeros());
       } catch (const std::exception&) {
         failed = true;
       }
@@ -337,7 +332,6 @@ ReplayReport LoadReplayer::run(const LoadScript& script) {
     const double complete = now + service_ms;
     server_free_ms = complete;
     batch.service_ms = service_ms;
-    batch.residue_nnz = residue_nnz;
 
     for (std::size_t j = 0; j < cols; ++j) {
       const std::size_t index = batch.request_indices[j];
@@ -382,7 +376,7 @@ ReplayReport LoadReplayer::run(const LoadScript& script) {
           std::chrono::duration<double, std::milli>(options_.pace_ms));
     }
 
-    controller.on_round(lane.id, cols, service_ms, residue_nnz, complete);
+    controller.on_round(lane.id, cols, service_ms, complete);
     report.max_brownout_level = std::max(
         report.max_brownout_level, static_cast<int>(controller.level()));
     report.batches.push_back(std::move(batch));

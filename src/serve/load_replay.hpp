@@ -64,8 +64,8 @@ struct ReplayOptions {
   AdmissionOptions admission;
 
   /// false skips the engines entirely (scheduling-only replay: outputs
-  /// empty, residue 0). The offered-load sweeps use this to explore big
-  /// grids cheaply.
+  /// empty). The offered-load sweeps use this to explore big grids
+  /// cheaply.
   bool run_engines = true;
 
   // Durability hooks (see serve/journal.hpp). The replayer is both the
@@ -140,7 +140,6 @@ struct ReplayBatchRecord {
   std::vector<std::size_t> request_indices;  // packed column order
   double start_ms = 0.0;
   double service_ms = 0.0;
-  double residue_nnz = 0.0;
   BrownoutLevel level = BrownoutLevel::kNormal;
   bool economy = false;  // rode the economy engine tier
 };

@@ -31,24 +31,19 @@ EwmaCostModel::EwmaCostModel(CostModelOptions options)
                "cost model prior must be non-negative");
 }
 
-void EwmaCostModel::observe(std::size_t cols, double batch_ms,
-                            double residue_nnz) {
+void EwmaCostModel::observe(std::size_t cols, double batch_ms) {
   if (cols == 0 || !(batch_ms > 0.0)) return;
   const double per_col = batch_ms / static_cast<double>(cols);
   if (observations_ == 0) {
     col_ms_ = per_col;
-    residue_nnz_ = std::max(residue_nnz, 0.0);
   } else {
     col_ms_ += options_.alpha * (per_col - col_ms_);
-    residue_nnz_ += options_.alpha * (std::max(residue_nnz, 0.0) -
-                                      residue_nnz_);
   }
   observations_ += 1;
 }
 
 double EwmaCostModel::estimate_ms(std::size_t cols) const {
-  return static_cast<double>(cols) * col_ms_ +
-         options_.residue_ms_per_nnz * residue_nnz_;
+  return static_cast<double>(cols) * col_ms_;
 }
 
 // --- BrownoutLadder --------------------------------------------------
@@ -222,12 +217,12 @@ bool AdmissionController::infeasible(double slack_ms,
 
 void AdmissionController::on_round(const std::string& tenant,
                                    std::size_t cols, double batch_ms,
-                                   double residue_nnz, double now_ms) {
+                                   double now_ms) {
   int transition = 0;
   double level = 0.0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    cost_.observe(cols, batch_ms, residue_nnz);
+    cost_.observe(cols, batch_ms);
     const double pressure = system_pressure_locked();
     transition = ladder_.observe(pressure);
     level = static_cast<double>(static_cast<int>(ladder_.level()));

@@ -9,9 +9,9 @@
 //
 //   * AdmissionController — bounded per-tenant intake. Two caps: a queue
 //     *depth* cap and an estimated-*work* cap (queued columns priced by
-//     an EWMA cost model fed with recent batch latencies and SNICIT's
-//     conversion_residue_nnz — inference-time compression makes per-batch
-//     cost variable, so the controller tracks it instead of assuming it).
+//     an EWMA cost model fed with recent batch latencies — inference-time
+//     compression makes per-batch cost variable, so the controller tracks
+//     it instead of assuming it).
 //     A refused submit fast-fails with the typed kRejectedOverload error
 //     and a retry-after hint rather than blocking the client.
 //
@@ -66,28 +66,21 @@ struct CostModelOptions {
   double alpha = 0.25;
   /// Per-column service-cost prior (ms) used before any batch completes.
   double initial_col_ms = 0.25;
-  /// Extra estimated milliseconds per smoothed residue nonzero: SNICIT
-  /// batches with heavy post-conversion residues cost more than their
-  /// column count suggests, and the residue EWMA is the leading signal.
-  double residue_ms_per_nnz = 0.0;
 };
 
 /// Exponentially-weighted estimate of what a batch costs: ms per column
-/// from recent batch latencies plus a residue surcharge from recent
-/// conversion_residue_nnz readings. Deterministic in its observation
+/// from recent batch latencies. Deterministic in its observation
 /// sequence; not internally synchronized (the controller serializes).
 class EwmaCostModel {
  public:
   explicit EwmaCostModel(CostModelOptions options = {});
 
-  /// One finished batch: `cols` columns served in `batch_ms` with
-  /// `residue_nnz` post-conversion residue nonzeros (0 for engines that
-  /// do not report one). Batches with cols == 0 or batch_ms <= 0 are
-  /// ignored (a failed round teaches the model nothing about cost).
-  void observe(std::size_t cols, double batch_ms, double residue_nnz);
+  /// One finished batch: `cols` columns served in `batch_ms`. Batches
+  /// with cols == 0 or batch_ms <= 0 are ignored (a failed round teaches
+  /// the model nothing about cost).
+  void observe(std::size_t cols, double batch_ms);
 
   double col_ms() const { return col_ms_; }
-  double residue_nnz() const { return residue_nnz_; }
   std::size_t observations() const { return observations_; }
 
   /// Estimated service cost of a `cols`-column batch at current rates.
@@ -96,7 +89,6 @@ class EwmaCostModel {
  private:
   CostModelOptions options_;
   double col_ms_;
-  double residue_nnz_ = 0.0;
   std::size_t observations_ = 0;
 };
 
@@ -288,10 +280,9 @@ class AdmissionController {
 
   /// One finished serving round for `tenant`: feeds the cost model,
   /// re-evaluates system pressure, and steps the brownout ladder.
-  /// `batch_ms` is the round's engine time, `residue_nnz` the engine's
-  /// post-conversion residue reading (0 when unavailable).
+  /// `batch_ms` is the round's engine time.
   void on_round(const std::string& tenant, std::size_t cols,
-                double batch_ms, double residue_nnz, double now_ms);
+                double batch_ms, double now_ms);
 
   /// Decision-log hooks for outcomes decided by the caller (the batcher
   /// owns dispatch/shed/timeout of queued requests).

@@ -69,11 +69,6 @@ std::vector<std::size_t> FifoPacker::pack(
   return order;
 }
 
-SimilarityPacker::SimilarityPacker(double threshold) : threshold_(threshold) {
-  SNICIT_CHECK(threshold > 0.5 && threshold <= 1.0,
-               "similarity threshold must be in (0.5, 1]");
-}
-
 std::vector<std::size_t> SimilarityPacker::pack(
     std::span<const Signature> signatures, std::size_t max_batch) {
   (void)max_batch;
@@ -82,7 +77,7 @@ std::vector<std::size_t> SimilarityPacker::pack(
   std::vector<std::vector<std::size_t>> clusters;
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t best = clusters.size();
-    double best_sim = threshold_;
+    double best_sim = kSimilarityThreshold;
     for (std::size_t c = 0; c < leaders.size(); ++c) {
       const double sim = signature_similarity(signatures[i], leaders[c]);
       if (sim >= best_sim) {

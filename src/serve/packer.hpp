@@ -65,25 +65,21 @@ class FifoPacker final : public BatchPacker {
                                 std::size_t max_batch) override;
 };
 
+/// Minimum bit-agreement fraction with a cluster leader for the
+/// similarity packer: it tolerates the per-bit noise of ~3% feature flips
+/// while keeping unrelated classes (~0.5 agreement) apart.
+inline constexpr double kSimilarityThreshold = 0.75;
+
 /// Greedy leader clustering on signature Hamming similarity: each request
-/// joins the first cluster whose leader it matches at >= threshold, else
-/// opens a new one; clusters are emitted in first-arrival order, members
-/// in arrival order. O(requests x clusters) signature compares per round.
+/// joins the first cluster whose leader it matches at >=
+/// kSimilarityThreshold, else opens a new one; clusters are emitted in
+/// first-arrival order, members in arrival order. O(requests x clusters)
+/// signature compares per round.
 class SimilarityPacker final : public BatchPacker {
  public:
-  /// `threshold` in (0.5, 1]: minimum bit-agreement fraction with a
-  /// cluster leader. 0.75 tolerates the per-bit noise of ~3% feature
-  /// flips while keeping unrelated classes (~0.5 agreement) apart.
-  explicit SimilarityPacker(double threshold = 0.75);
-
   std::string name() const override { return "similarity"; }
   std::vector<std::size_t> pack(std::span<const Signature> signatures,
                                 std::size_t max_batch) override;
-
-  double threshold() const { return threshold_; }
-
- private:
-  double threshold_;
 };
 
 const std::vector<std::string>& known_packers();

@@ -5,13 +5,7 @@
 
 namespace snicit::core {
 
-ConvergenceDetector::ConvergenceDetector(float level, float eta,
-                                         std::size_t probe_columns,
-                                         std::size_t probe_rows)
-    : level_(level),
-      eta_(eta),
-      probe_columns_(std::max<std::size_t>(2, probe_columns)),
-      probe_rows_(std::max<std::size_t>(1, probe_rows)) {}
+ConvergenceDetector::ConvergenceDetector(float eta) : eta_(eta) {}
 
 void ConvergenceDetector::reset() {
   hits_ = 0;
@@ -21,9 +15,9 @@ void ConvergenceDetector::reset() {
 bool ConvergenceDetector::observe(const DenseMatrix& y) {
   if (y.rows() == 0 || y.cols() < 2) return false;
 
-  const std::size_t cols = std::min(probe_columns_, y.cols());
+  const std::size_t cols = std::min(kConvergenceProbeColumns, y.cols());
   const std::size_t col_stride = y.cols() / cols;
-  const std::size_t rows = std::min(probe_rows_, y.rows());
+  const std::size_t rows = std::min(kConvergenceProbeRows, y.rows());
   const std::size_t row_stride = y.rows() / rows;
 
   // Mean nearest-neighbour distance over the probe columns: for each
@@ -49,7 +43,7 @@ bool ConvergenceDetector::observe(const DenseMatrix& y) {
   }
   last_distance_ = total / static_cast<double>(cols);
 
-  if (last_distance_ <= level_) {
+  if (last_distance_ <= kConvergenceLevel) {
     ++hits_;
   } else {
     hits_ = 0;

@@ -18,18 +18,19 @@ namespace snicit::core {
 
 using sparse::DenseMatrix;
 
-/// Detector level SnicitParams::auto_threshold runs at.
+/// Convergence fires when the mean nearest-neighbour distance (fraction
+/// of probed rows differing by more than eta) stays at or below this
+/// level for two consecutive layers.
 inline constexpr float kConvergenceLevel = 0.05f;
+/// Columns and rows the detector probes per layer (fewer on smaller
+/// batches: the probe is clamped to the matrix).
+inline constexpr std::size_t kConvergenceProbeColumns = 24;
+inline constexpr std::size_t kConvergenceProbeRows = 256;
 
 class ConvergenceDetector {
  public:
-  /// `level` — convergence fires when the mean nearest-neighbour distance
-  /// (fraction of probed rows differing by more than `eta`) stays at or
-  /// below this for two consecutive layers.
-  explicit ConvergenceDetector(float level = kConvergenceLevel,
-                               float eta = 0.03f,
-                               std::size_t probe_columns = 24,
-                               std::size_t probe_rows = 256);
+  /// `eta` — two probed values differ when they are more than eta apart.
+  explicit ConvergenceDetector(float eta = 0.03f);
 
   /// Feeds the activations after one layer; returns true once clustered
   /// for two consecutive layers.
@@ -44,10 +45,7 @@ class ConvergenceDetector {
   void reset();
 
  private:
-  float level_;
   float eta_;
-  std::size_t probe_columns_;
-  std::size_t probe_rows_;
   int hits_ = 0;
   double last_distance_ = 1.0;
 };

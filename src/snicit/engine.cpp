@@ -167,7 +167,7 @@ void SnicitEngine::run_stages(const dnn::SparseDnn& net,
                       sparse::ZeroFill::kNo);
   dnn::DenseMatrix* cur = &ping;
   dnn::DenseMatrix* nxt = &pong;
-  ConvergenceDetector detector(kConvergenceLevel, params_.eta);
+  ConvergenceDetector detector(params_.eta);
   int t = t_bound;
   for (int i = 0; i < t_bound; ++i) {
     SNICIT_TRACE_SPAN("pre_layer", "snicit");

@@ -99,20 +99,4 @@ void spmm_ell(const EllMatrix& w, const DenseMatrix& y, DenseMatrix& out) {
   });
 }
 
-void spmm_ell_cols(const EllMatrix& w, const DenseMatrix& y,
-                   std::span<const Index> columns, DenseMatrix& out) {
-  SNICIT_CHECK(static_cast<std::size_t>(w.cols()) == y.rows(),
-               "ELL spMM inner dimension mismatch");
-  SNICIT_CHECK(static_cast<std::size_t>(w.rows()) == out.rows() &&
-                   y.cols() == out.cols(),
-               "ELL spMM output shape mismatch");
-  platform::parallel_for_ranges(0, columns.size(), [&](std::size_t lo,
-                                                       std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const auto j = static_cast<std::size_t>(columns[k]);
-      ell_column(w, y.col(j), out.col(j));
-    }
-  });
-}
-
 }  // namespace snicit::sparse

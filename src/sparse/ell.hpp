@@ -66,8 +66,4 @@ class EllMatrix {
 /// out = W * y (gather over the regular ELL grid); out fully overwritten.
 void spmm_ell(const EllMatrix& w, const DenseMatrix& y, DenseMatrix& out);
 
-/// ELL gather restricted to the listed batch columns.
-void spmm_ell_cols(const EllMatrix& w, const DenseMatrix& y,
-                   std::span<const Index> columns, DenseMatrix& out);
-
 }  // namespace snicit::sparse

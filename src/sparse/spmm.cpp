@@ -4,11 +4,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
 #include "platform/common.hpp"
+#include "platform/fault_injection.hpp"
 #include "platform/thread_pool.hpp"
+#include "sparse/spmm_policy.hpp"
 
 // SNICIT_SIMD (set by the CMake toggle of the same name) turns the lane
 // loops of the blocked kernels into `#pragma omp simd` regions. The pragma
@@ -36,15 +40,15 @@ void check_shapes(Index w_rows, Index w_cols, const DenseMatrix& y,
 
 // --- Fused epilogues --------------------------------------------------------
 //
-// The kernel cores themselves are epilogue-free — fused and plain entry
-// points share the exact same core instantiations. The fused forms run
+// The kernel cores themselves are epilogue-free — fused and plain runs
+// of an arm share the exact same core instantiations. A fused run calls
 // epi_sweep over each finished output column segment while it is still
 // cache-hot (that locality is the fusion win; the saved second pass over
 // a cold matrix is the other half). NoEpi is the identity;
 // RowBiasEpi / ScalarBiasEpi are the SDGC bias + clipped ReLU. The sweep
 // touches every element only after its accumulation chain is complete, so
-// a fused run is bit-identical to the plain kernel followed by
-// apply_bias_activation.
+// a fused run is bit-identical to the plain run followed by the split
+// epilogue pass.
 
 struct NoEpi {
   float operator()(float v, Index) const { return v; }
@@ -106,7 +110,7 @@ void with_epi(const BiasAct& epi, Index rows, Fn&& fn) {
 }
 
 /// One output column of the gather kernel: out_col[i] = W.row(i) . y_col.
-/// Deliberately NOT templated on the epilogue: the fused entry points call
+/// Deliberately NOT templated on the epilogue: fused runs call
 /// this exact instantiation and run epi_sweep on the finished column, so
 /// the core's machine code is byte-for-byte the plain kernel's (an Epi
 /// template parameter here measurably perturbed GCC's codegen for the
@@ -248,8 +252,8 @@ void gather_group(const CsrMatrix& w, const DenseMatrix& y, const Index* cols,
   }
 }
 
-/// Column-group-parallel driver shared by spmm_gather_simd and its
-/// column-subset form.
+/// Column-group-parallel driver of the gather_simd arm (full batch and
+/// column subsets alike).
 template <typename Epi>
 void gather_blocked(const CsrMatrix& w, const DenseMatrix& y,
                     const Index* cols, std::size_t n, DenseMatrix& out,
@@ -379,6 +383,120 @@ void scatter_blocked(const CscMatrix& w, const DenseMatrix& y,
   });
 }
 
+/// Column-parallel driver of the scalar arms: `Core` (gather_column or
+/// scatter_column) fills each listed column, then the epilogue sweeps it
+/// while it is cache-hot. `cols == nullptr` means the identity list.
+template <auto Core, typename Mat, typename Epi>
+void scalar_columns(const Mat& w, const DenseMatrix& y, const Index* cols,
+                    std::size_t n, DenseMatrix& out, Epi epi) {
+  platform::parallel_for_ranges(0, n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t j =
+          cols != nullptr ? static_cast<std::size_t>(cols[k]) : k;
+      Core(w, y.col(j), out.col(j));
+      epi_sweep(out.col(j), 0, w.rows(), epi);
+    }
+  });
+}
+
+/// Applies the epilogue to `n` listed columns of y (`cols == nullptr`:
+/// the first n) — the split pass of the dispatch, and the public
+/// apply_bias_activation.
+void epilogue_columns(DenseMatrix& y, const Index* cols, std::size_t n,
+                      const BiasAct& epi) {
+  with_epi(epi, static_cast<Index>(y.rows()), [&](auto e) {
+    platform::parallel_for_ranges(0, n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::size_t j =
+            cols != nullptr ? static_cast<std::size_t>(cols[k]) : k;
+        epi_sweep(y.col(j), 0, static_cast<Index>(y.rows()), e);
+      }
+    });
+  });
+}
+
+const CscMatrix& require_csc(const CscMatrix* w_csc) {
+  SNICIT_CHECK(w_csc != nullptr,
+               "scatter spMM variant forced without a CSC weight mirror");
+  return *w_csc;
+}
+
+/// The one map from an arm to its kernel driver: runs `v` over `n`
+/// columns (`cols == nullptr`: all of them) with epilogue functor `epi`
+/// (NoEpi for the plain multiply).
+template <typename Epi>
+void run_arm(SpmmVariant v, const CsrMatrix& w, const CscMatrix* w_csc,
+             const DenseMatrix& y, const Index* cols, std::size_t n,
+             DenseMatrix& out, Epi epi) {
+  switch (v) {
+    case SpmmVariant::kGatherScalar:
+      scalar_columns<gather_column>(w, y, cols, n, out, epi);
+      return;
+    case SpmmVariant::kGatherSimd:
+      gather_blocked(w, y, cols, n, out, epi);
+      return;
+    case SpmmVariant::kGatherThreaded:
+      gather_row_parallel(w, y, cols, n, out, epi);
+      return;
+    case SpmmVariant::kScatter:
+      scalar_columns<scatter_column>(require_csc(w_csc), y, cols, n, out,
+                                     epi);
+      return;
+    case SpmmVariant::kScatterSimd:
+      scatter_blocked(require_csc(w_csc), y, cols, n, out, epi);
+      return;
+    case SpmmVariant::kAuto:
+      break;
+  }
+  platform::fatal(__FILE__, __LINE__, "selector returned kAuto");
+}
+
+/// Every dispatch entry point forwards here. Selects the arm, runs it over
+/// all columns (no `columns`) or the listed ones, carrying the epilogue
+/// fused, split, or not at all (`epi == nullptr`), then fires the drill
+/// of the entry point: `spmm_nan` poisons out(0, 0) of a full-batch
+/// multiply, `nan_tile` the first dispatched column of a subset multiply
+/// (the load-reduced post-convergence spMM, whose poison the SNICIT
+/// divergence guard must detect). Both fire after the epilogue: min/max
+/// propagate NaN, so a poisoned accumulator survives a fused store too and
+/// the detection contract is mode-independent.
+SpmmVariant run_spmm(const CsrMatrix& w, const CscMatrix* w_csc,
+                     const DenseMatrix& y,
+                     std::optional<std::span<const Index>> columns,
+                     DenseMatrix& out, double density, const BiasAct* epi,
+                     const SpmmPolicy& policy) {
+  check_shapes(w.rows(), w.cols(), y, out);
+  const Index* cols = columns ? columns->data() : nullptr;
+  const std::size_t n = columns ? columns->size() : y.cols();
+  SpmmProblem p;
+  p.rows = static_cast<std::size_t>(w.rows());
+  p.nnz = static_cast<std::size_t>(w.nnz());
+  p.batch_cols = n;
+  p.density = density;
+  p.has_csc = (w_csc != nullptr);
+  p.has_epilogue = (epi != nullptr);
+  const auto v = select_spmm_variant(p, policy);
+  if (epi != nullptr && policy.epilogue == SpmmEpilogue::kFused) {
+    with_epi(*epi, w.rows(), [&](auto e) {
+      run_arm(v, w, w_csc, y, cols, n, out, e);
+    });
+  } else {
+    run_arm(v, w, w_csc, y, cols, n, out, NoEpi{});
+    if (epi != nullptr) epilogue_columns(out, cols, n, *epi);
+  }
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  if (columns) {
+    if (platform::fault::should_fire("nan_tile") && !columns->empty() &&
+        out.rows() > 0) {
+      out.col(static_cast<std::size_t>(columns->front()))[0] = kNaN;
+    }
+  } else if (platform::fault::should_fire("spmm_nan") && out.rows() > 0 &&
+             out.cols() > 0) {
+    out.col(0)[0] = kNaN;
+  }
+  return v;
+}
+
 }  // namespace
 
 bool simd_compiled() {
@@ -391,236 +509,42 @@ bool simd_compiled() {
 
 void spmm_gather(const CsrMatrix& w, const DenseMatrix& y, DenseMatrix& out) {
   check_shapes(w.rows(), w.cols(), y, out);
-  platform::parallel_for_ranges(0, y.cols(), [&](std::size_t lo,
-                                                 std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      gather_column(w, y.col(j), out.col(j));
-    }
-  });
+  scalar_columns<gather_column>(w, y, nullptr, y.cols(), out, NoEpi{});
 }
 
-void spmm_gather_cols(const CsrMatrix& w, const DenseMatrix& y,
-                      std::span<const Index> columns, DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  platform::parallel_for_ranges(0, columns.size(), [&](std::size_t lo,
-                                                       std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const auto j = static_cast<std::size_t>(columns[k]);
-      gather_column(w, y.col(j), out.col(j));
-    }
-  });
+void apply_bias_activation(DenseMatrix& y, const BiasAct& epi) {
+  epilogue_columns(y, nullptr, y.cols(), epi);
 }
 
-void spmm_scatter(const CscMatrix& w, const DenseMatrix& y, DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  platform::parallel_for_ranges(0, y.cols(), [&](std::size_t lo,
-                                                 std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      scatter_column(w, y.col(j), out.col(j));
-    }
-  });
+SpmmVariant spmm_dispatch(const CsrMatrix& w, const CscMatrix* w_csc,
+                          const DenseMatrix& y, DenseMatrix& out,
+                          double density, const SpmmPolicy& policy) {
+  return run_spmm(w, w_csc, y, std::nullopt, out, density, nullptr, policy);
 }
 
-void spmm_scatter_cols(const CscMatrix& w, const DenseMatrix& y,
-                       std::span<const Index> columns, DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  platform::parallel_for_ranges(0, columns.size(), [&](std::size_t lo,
-                                                       std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const auto j = static_cast<std::size_t>(columns[k]);
-      scatter_column(w, y.col(j), out.col(j));
-    }
-  });
-}
-
-void spmm_gather_simd(const CsrMatrix& w, const DenseMatrix& y,
-                      DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  gather_blocked(w, y, nullptr, y.cols(), out, NoEpi{});
-}
-
-void spmm_gather_cols_simd(const CsrMatrix& w, const DenseMatrix& y,
-                           std::span<const Index> columns, DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  gather_blocked(w, y, columns.data(), columns.size(), out, NoEpi{});
-}
-
-void spmm_gather_threaded(const CsrMatrix& w, const DenseMatrix& y,
-                          DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  gather_row_parallel(w, y, nullptr, y.cols(), out, NoEpi{});
-}
-
-void spmm_gather_cols_threaded(const CsrMatrix& w, const DenseMatrix& y,
+SpmmVariant spmm_dispatch_cols(const CsrMatrix& w, const CscMatrix* w_csc,
+                               const DenseMatrix& y,
                                std::span<const Index> columns,
-                               DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  gather_row_parallel(w, y, columns.data(), columns.size(), out, NoEpi{});
+                               DenseMatrix& out, double density,
+                               const SpmmPolicy& policy) {
+  return run_spmm(w, w_csc, y, columns, out, density, nullptr, policy);
 }
 
-void spmm_scatter_simd(const CscMatrix& w, const DenseMatrix& y,
-                       DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  scatter_blocked(w, y, nullptr, y.cols(), out, NoEpi{});
+SpmmVariant spmm_dispatch_fused(const CsrMatrix& w, const CscMatrix* w_csc,
+                                const DenseMatrix& y, DenseMatrix& out,
+                                double density, const BiasAct& epi,
+                                const SpmmPolicy& policy) {
+  return run_spmm(w, w_csc, y, std::nullopt, out, density, &epi, policy);
 }
 
-void spmm_scatter_cols_simd(const CscMatrix& w, const DenseMatrix& y,
-                            std::span<const Index> columns,
-                            DenseMatrix& out) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  scatter_blocked(w, y, columns.data(), columns.size(), out, NoEpi{});
-}
-
-void spmm_gather_fused(const CsrMatrix& w, const DenseMatrix& y,
-                       DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    platform::parallel_for_ranges(0, y.cols(), [&](std::size_t lo,
-                                                   std::size_t hi) {
-      for (std::size_t j = lo; j < hi; ++j) {
-        gather_column(w, y.col(j), out.col(j));
-        epi_sweep(out.col(j), 0, w.rows(), e);
-      }
-    });
-  });
-}
-
-void spmm_gather_cols_fused(const CsrMatrix& w, const DenseMatrix& y,
-                            std::span<const Index> columns, DenseMatrix& out,
-                            const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    platform::parallel_for_ranges(0, columns.size(), [&](std::size_t lo,
-                                                         std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        const auto j = static_cast<std::size_t>(columns[k]);
-        gather_column(w, y.col(j), out.col(j));
-        epi_sweep(out.col(j), 0, w.rows(), e);
-      }
-    });
-  });
-}
-
-void spmm_scatter_fused(const CscMatrix& w, const DenseMatrix& y,
-                        DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    platform::parallel_for_ranges(0, y.cols(), [&](std::size_t lo,
-                                                   std::size_t hi) {
-      for (std::size_t j = lo; j < hi; ++j) {
-        scatter_column(w, y.col(j), out.col(j));
-        epi_sweep(out.col(j), 0, w.rows(), e);
-      }
-    });
-  });
-}
-
-void spmm_scatter_cols_fused(const CscMatrix& w, const DenseMatrix& y,
-                             std::span<const Index> columns, DenseMatrix& out,
-                             const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    platform::parallel_for_ranges(0, columns.size(), [&](std::size_t lo,
-                                                         std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        const auto j = static_cast<std::size_t>(columns[k]);
-        scatter_column(w, y.col(j), out.col(j));
-        epi_sweep(out.col(j), 0, w.rows(), e);
-      }
-    });
-  });
-}
-
-void spmm_gather_simd_fused(const CsrMatrix& w, const DenseMatrix& y,
-                            DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(),
-           [&](auto e) { gather_blocked(w, y, nullptr, y.cols(), out, e); });
-}
-
-void spmm_gather_cols_simd_fused(const CsrMatrix& w, const DenseMatrix& y,
-                                 std::span<const Index> columns,
-                                 DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    gather_blocked(w, y, columns.data(), columns.size(), out, e);
-  });
-}
-
-void spmm_gather_threaded_fused(const CsrMatrix& w, const DenseMatrix& y,
-                                DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    gather_row_parallel(w, y, nullptr, y.cols(), out, e);
-  });
-}
-
-void spmm_gather_cols_threaded_fused(const CsrMatrix& w, const DenseMatrix& y,
+SpmmVariant spmm_dispatch_cols_fused(const CsrMatrix& w,
+                                     const CscMatrix* w_csc,
+                                     const DenseMatrix& y,
                                      std::span<const Index> columns,
-                                     DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    gather_row_parallel(w, y, columns.data(), columns.size(), out, e);
-  });
-}
-
-void spmm_scatter_simd_fused(const CscMatrix& w, const DenseMatrix& y,
-                             DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    scatter_blocked(w, y, nullptr, y.cols(), out, e);
-  });
-}
-
-void spmm_scatter_cols_simd_fused(const CscMatrix& w, const DenseMatrix& y,
-                                  std::span<const Index> columns,
-                                  DenseMatrix& out, const BiasAct& epi) {
-  check_shapes(w.rows(), w.cols(), y, out);
-  with_epi(epi, w.rows(), [&](auto e) {
-    scatter_blocked(w, y, columns.data(), columns.size(), out, e);
-  });
-}
-
-void apply_bias_activation(DenseMatrix& y, std::span<const float> bias,
-                           float ymax) {
-  SNICIT_CHECK(bias.size() == y.rows(), "bias size mismatch");
-  platform::parallel_for_ranges(0, y.cols(), [&](std::size_t lo,
-                                                 std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      float* SNICIT_RESTRICT c = y.col(j);
-      for (std::size_t r = 0; r < y.rows(); ++r) {
-        c[r] = std::min(std::max(c[r] + bias[r], 0.0f), ymax);
-      }
-    }
-  });
-}
-
-void apply_bias_activation(DenseMatrix& y, float bias, float ymax) {
-  platform::parallel_for_ranges(0, y.cols(), [&](std::size_t lo,
-                                                 std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      float* SNICIT_RESTRICT c = y.col(j);
-      for (std::size_t r = 0; r < y.rows(); ++r) {
-        c[r] = std::min(std::max(c[r] + bias, 0.0f), ymax);
-      }
-    }
-  });
-}
-
-void apply_bias_activation_cols(DenseMatrix& y, std::span<const Index> columns,
-                                const BiasAct& epi) {
-  with_epi(epi, static_cast<Index>(y.rows()), [&](auto e) {
-    platform::parallel_for_ranges(0, columns.size(), [&](std::size_t lo,
-                                                         std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        float* SNICIT_RESTRICT c =
-            y.col(static_cast<std::size_t>(columns[k]));
-        for (std::size_t r = 0; r < y.rows(); ++r) {
-          c[r] = e(c[r], static_cast<Index>(r));
-        }
-      }
-    });
-  });
+                                     DenseMatrix& out, double density,
+                                     const BiasAct& epi,
+                                     const SpmmPolicy& policy) {
+  return run_spmm(w, w_csc, y, columns, out, density, &epi, policy);
 }
 
 double estimate_column_density(const DenseMatrix& y,

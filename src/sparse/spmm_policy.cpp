@@ -4,10 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "platform/common.hpp"
-#include "platform/fault_injection.hpp"
 #include "platform/thread_pool.hpp"
-#include "sparse/spmm.hpp"
 
 namespace snicit::sparse {
 
@@ -197,206 +194,6 @@ SpmmVariant select_spmm_variant(const SpmmProblem& p,
     }
   }
   return best;
-}
-
-namespace {
-
-SpmmProblem make_problem(const CsrMatrix& w, const CscMatrix* w_csc,
-                         std::size_t batch_cols, double density) {
-  SpmmProblem p;
-  p.rows = static_cast<std::size_t>(w.rows());
-  p.nnz = static_cast<std::size_t>(w.nnz());
-  p.batch_cols = batch_cols;
-  p.density = density;
-  p.has_csc = (w_csc != nullptr);
-  return p;
-}
-
-const CscMatrix& require_csc(const CscMatrix* w_csc) {
-  SNICIT_CHECK(w_csc != nullptr,
-               "scatter spMM variant forced without a CSC weight mirror");
-  return *w_csc;
-}
-
-}  // namespace
-
-SpmmVariant spmm_dispatch(const CsrMatrix& w, const CscMatrix* w_csc,
-                          const DenseMatrix& y, DenseMatrix& out,
-                          double density, const SpmmPolicy& policy) {
-  const auto v = select_spmm_variant(
-      make_problem(w, w_csc, y.cols(), density), policy);
-  switch (v) {
-    case SpmmVariant::kGatherScalar: spmm_gather(w, y, out); break;
-    case SpmmVariant::kGatherSimd: spmm_gather_simd(w, y, out); break;
-    case SpmmVariant::kGatherThreaded: spmm_gather_threaded(w, y, out); break;
-    case SpmmVariant::kScatter: spmm_scatter(require_csc(w_csc), y, out); break;
-    case SpmmVariant::kScatterSimd:
-      spmm_scatter_simd(require_csc(w_csc), y, out);
-      break;
-    case SpmmVariant::kAuto:
-      platform::fatal(__FILE__, __LINE__, "selector returned kAuto");
-  }
-  // Injected kernel corruption (drills): one NaN in the output tile, the
-  // signature of a bad reduction/race a production kernel could produce.
-  if (platform::fault::should_fire("spmm_nan") && out.rows() > 0 &&
-      out.cols() > 0) {
-    out.col(0)[0] = std::numeric_limits<float>::quiet_NaN();
-  }
-  return v;
-}
-
-SpmmVariant spmm_dispatch_cols(const CsrMatrix& w, const CscMatrix* w_csc,
-                               const DenseMatrix& y,
-                               std::span<const Index> columns,
-                               DenseMatrix& out, double density,
-                               const SpmmPolicy& policy) {
-  const auto v = select_spmm_variant(
-      make_problem(w, w_csc, columns.size(), density), policy);
-  switch (v) {
-    case SpmmVariant::kGatherScalar: spmm_gather_cols(w, y, columns, out); break;
-    case SpmmVariant::kGatherSimd:
-      spmm_gather_cols_simd(w, y, columns, out);
-      break;
-    case SpmmVariant::kGatherThreaded:
-      spmm_gather_cols_threaded(w, y, columns, out);
-      break;
-    case SpmmVariant::kScatter:
-      spmm_scatter_cols(require_csc(w_csc), y, columns, out);
-      break;
-    case SpmmVariant::kScatterSimd:
-      spmm_scatter_cols_simd(require_csc(w_csc), y, columns, out);
-      break;
-    case SpmmVariant::kAuto:
-      platform::fatal(__FILE__, __LINE__, "selector returned kAuto");
-  }
-  // Injected corruption of the load-reduced (post-convergence) multiply:
-  // poisons the first column actually dispatched, which the Eq. (5)
-  // update reads — the SNICIT divergence guard must detect it.
-  if (platform::fault::should_fire("nan_tile") && !columns.empty() &&
-      out.rows() > 0) {
-    out.col(static_cast<std::size_t>(columns.front()))[0] =
-        std::numeric_limits<float>::quiet_NaN();
-  }
-  return v;
-}
-
-SpmmVariant spmm_dispatch_fused(const CsrMatrix& w, const CscMatrix* w_csc,
-                                const DenseMatrix& y, DenseMatrix& out,
-                                double density, const BiasAct& epi,
-                                const SpmmPolicy& policy) {
-  SpmmProblem p = make_problem(w, w_csc, y.cols(), density);
-  p.has_epilogue = true;
-  const auto v = select_spmm_variant(p, policy);
-  if (policy.epilogue == SpmmEpilogue::kSplit) {
-    switch (v) {
-      case SpmmVariant::kGatherScalar: spmm_gather(w, y, out); break;
-      case SpmmVariant::kGatherSimd: spmm_gather_simd(w, y, out); break;
-      case SpmmVariant::kGatherThreaded:
-        spmm_gather_threaded(w, y, out);
-        break;
-      case SpmmVariant::kScatter:
-        spmm_scatter(require_csc(w_csc), y, out);
-        break;
-      case SpmmVariant::kScatterSimd:
-        spmm_scatter_simd(require_csc(w_csc), y, out);
-        break;
-      case SpmmVariant::kAuto:
-        platform::fatal(__FILE__, __LINE__, "selector returned kAuto");
-    }
-    if (!epi.bias.empty()) {
-      apply_bias_activation(out, epi.bias, epi.ymax);
-    } else {
-      apply_bias_activation(out, epi.scalar_bias, epi.ymax);
-    }
-  } else {
-    switch (v) {
-      case SpmmVariant::kGatherScalar: spmm_gather_fused(w, y, out, epi); break;
-      case SpmmVariant::kGatherSimd:
-        spmm_gather_simd_fused(w, y, out, epi);
-        break;
-      case SpmmVariant::kGatherThreaded:
-        spmm_gather_threaded_fused(w, y, out, epi);
-        break;
-      case SpmmVariant::kScatter:
-        spmm_scatter_fused(require_csc(w_csc), y, out, epi);
-        break;
-      case SpmmVariant::kScatterSimd:
-        spmm_scatter_simd_fused(require_csc(w_csc), y, out, epi);
-        break;
-      case SpmmVariant::kAuto:
-        platform::fatal(__FILE__, __LINE__, "selector returned kAuto");
-    }
-  }
-  // The spmm_nan drill fires after the epilogue in both modes: min/max
-  // propagate NaN, so a poisoned accumulator survives the fused store too
-  // and the detection contract is mode-independent.
-  if (platform::fault::should_fire("spmm_nan") && out.rows() > 0 &&
-      out.cols() > 0) {
-    out.col(0)[0] = std::numeric_limits<float>::quiet_NaN();
-  }
-  return v;
-}
-
-SpmmVariant spmm_dispatch_cols_fused(const CsrMatrix& w,
-                                     const CscMatrix* w_csc,
-                                     const DenseMatrix& y,
-                                     std::span<const Index> columns,
-                                     DenseMatrix& out, double density,
-                                     const BiasAct& epi,
-                                     const SpmmPolicy& policy) {
-  SpmmProblem p = make_problem(w, w_csc, columns.size(), density);
-  p.has_epilogue = true;
-  const auto v = select_spmm_variant(p, policy);
-  if (policy.epilogue == SpmmEpilogue::kSplit) {
-    switch (v) {
-      case SpmmVariant::kGatherScalar:
-        spmm_gather_cols(w, y, columns, out);
-        break;
-      case SpmmVariant::kGatherSimd:
-        spmm_gather_cols_simd(w, y, columns, out);
-        break;
-      case SpmmVariant::kGatherThreaded:
-        spmm_gather_cols_threaded(w, y, columns, out);
-        break;
-      case SpmmVariant::kScatter:
-        spmm_scatter_cols(require_csc(w_csc), y, columns, out);
-        break;
-      case SpmmVariant::kScatterSimd:
-        spmm_scatter_cols_simd(require_csc(w_csc), y, columns, out);
-        break;
-      case SpmmVariant::kAuto:
-        platform::fatal(__FILE__, __LINE__, "selector returned kAuto");
-    }
-    apply_bias_activation_cols(out, columns, epi);
-  } else {
-    switch (v) {
-      case SpmmVariant::kGatherScalar:
-        spmm_gather_cols_fused(w, y, columns, out, epi);
-        break;
-      case SpmmVariant::kGatherSimd:
-        spmm_gather_cols_simd_fused(w, y, columns, out, epi);
-        break;
-      case SpmmVariant::kGatherThreaded:
-        spmm_gather_cols_threaded_fused(w, y, columns, out, epi);
-        break;
-      case SpmmVariant::kScatter:
-        spmm_scatter_cols_fused(require_csc(w_csc), y, columns, out, epi);
-        break;
-      case SpmmVariant::kScatterSimd:
-        spmm_scatter_cols_simd_fused(require_csc(w_csc), y, columns, out, epi);
-        break;
-      case SpmmVariant::kAuto:
-        platform::fatal(__FILE__, __LINE__, "selector returned kAuto");
-    }
-  }
-  // Same post-epilogue poison point as spmm_dispatch_cols — the SNICIT
-  // divergence guard must detect it regardless of epilogue mode.
-  if (platform::fault::should_fire("nan_tile") && !columns.empty() &&
-      out.rows() > 0) {
-    out.col(static_cast<std::size_t>(columns.front()))[0] =
-        std::numeric_limits<float>::quiet_NaN();
-  }
-  return v;
 }
 
 }  // namespace snicit::sparse

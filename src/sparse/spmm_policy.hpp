@@ -12,14 +12,17 @@
 // `variant` pins one arm for the whole run (the regression suites sweep
 // every arm this way) or leaves it to the model.
 //
-// The policy additionally carries an *epilogue* dimension: the dispatch
-// entry points that take a bias+activation epilogue
-// (spmm_dispatch_fused / spmm_dispatch_cols_fused) run the fused kernel
-// arm by default, or fall back to the classic split multiply +
-// apply_bias_activation when SpmmEpilogue::kSplit is forced — the A/B
-// lever the golden digests and perf gates sweep. A forcing spec is
-// "VARIANT[+EPILOGUE]" (e.g. "gather_simd+split") or a bare epilogue name
-// ("fused"/"split"), as snicit_cli's --spmm flag takes it.
+// The four spmm_dispatch* entry points below are the only way to run an
+// arm: a policy with a forced `variant` pins one (tests, benches and the
+// autotuner sweep the family this way), kAuto lets the model pick. The
+// policy also carries an *epilogue* dimension: the entry points that take
+// a bias+activation epilogue (spmm_dispatch_fused /
+// spmm_dispatch_cols_fused) apply it inside the arm by default, or as the
+// classic split multiply + apply_bias_activation when SpmmEpilogue::kSplit
+// is forced — the A/B lever the golden digests and perf gates sweep. A
+// forcing spec is "VARIANT[+EPILOGUE]" (e.g. "gather_simd+split") or a
+// bare epilogue name ("fused"/"split"), as snicit_cli's --spmm flag takes
+// it.
 #pragma once
 
 #include <optional>
@@ -29,7 +32,7 @@
 #include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense_matrix.hpp"
-#include "sparse/spmm.hpp"  // BiasAct, the kernel family the dispatch runs
+#include "sparse/spmm.hpp"  // BiasAct
 
 namespace snicit::sparse {
 
@@ -113,21 +116,26 @@ SpmmVariant select_spmm_variant(const SpmmProblem& p,
 /// `w_csc` may be null when no CSC mirror exists (scatter arms are then
 /// excluded from auto selection; forcing one is a hard error). `density`
 /// is the caller's activation-density estimate (estimate_column_density).
-/// Returns the variant that actually ran.
+/// Returns the variant that actually ran. The `spmm_nan` fault site fires
+/// here (one NaN at out(0, 0)); the column-subset forms fire `nan_tile`
+/// on their first listed column instead.
 SpmmVariant spmm_dispatch(const CsrMatrix& w, const CscMatrix* w_csc,
                           const DenseMatrix& y, DenseMatrix& out,
                           double density, const SpmmPolicy& policy = {});
 
-/// Column-subset dispatch (SNICIT's load-reduced spMM, partition engines).
+/// Column-subset dispatch (SNICIT's load-reduced spMM, partition engines):
+/// only the listed columns of `out` are written, the rest keep their
+/// contents.
 SpmmVariant spmm_dispatch_cols(const CsrMatrix& w, const CscMatrix* w_csc,
                                const DenseMatrix& y,
                                std::span<const Index> columns,
                                DenseMatrix& out, double density,
                                const SpmmPolicy& policy = {});
 
-/// Dispatch carrying the bias+activation epilogue: runs the selected
-/// kernel's fused form (policy.epilogue == kFused, the default) or the
-/// split kernel followed by apply_bias_activation (kSplit). Both modes
+/// Dispatch carrying the bias+activation epilogue: the selected arm sweeps
+/// each output column with `epi` while it is cache-hot (policy.epilogue ==
+/// kFused, the default), or runs plain and is followed by the
+/// apply_bias_activation pass over the same columns (kSplit). Both modes
 /// produce bit-identical output; the fused mode saves the second pass.
 SpmmVariant spmm_dispatch_fused(const CsrMatrix& w, const CscMatrix* w_csc,
                                 const DenseMatrix& y, DenseMatrix& out,

@@ -127,30 +127,20 @@ TEST(EwmaCostModel, FirstObservationSnapsThenSmooths) {
   EXPECT_DOUBLE_EQ(model.col_ms(), 1.0);       // prior
   EXPECT_DOUBLE_EQ(model.estimate_ms(4), 4.0);
 
-  model.observe(10, 20.0, 8.0);  // 2 ms/col: first observation snaps
+  model.observe(10, 20.0);  // 2 ms/col: first observation snaps
   EXPECT_DOUBLE_EQ(model.col_ms(), 2.0);
-  EXPECT_DOUBLE_EQ(model.residue_nnz(), 8.0);
 
-  model.observe(10, 40.0, 0.0);  // 4 ms/col: EWMA moves halfway
+  model.observe(10, 40.0);  // 4 ms/col: EWMA moves halfway
   EXPECT_DOUBLE_EQ(model.col_ms(), 3.0);
-  EXPECT_DOUBLE_EQ(model.residue_nnz(), 4.0);
   EXPECT_EQ(model.observations(), 2u);
 }
 
 TEST(EwmaCostModel, IgnoresEmptyAndNonPositiveBatches) {
   serve::EwmaCostModel model;
-  model.observe(0, 10.0, 0.0);
-  model.observe(4, 0.0, 0.0);
-  model.observe(4, -1.0, 0.0);
+  model.observe(0, 10.0);
+  model.observe(4, 0.0);
+  model.observe(4, -1.0);
   EXPECT_EQ(model.observations(), 0u);
-}
-
-TEST(EwmaCostModel, ResidueSurchargeRaisesEstimates) {
-  serve::CostModelOptions opt;
-  opt.residue_ms_per_nnz = 0.5;
-  serve::EwmaCostModel model(opt);
-  model.observe(4, 4.0, 10.0);  // 1 ms/col, residue 10
-  EXPECT_DOUBLE_EQ(model.estimate_ms(4), 4.0 + 0.5 * 10.0);
 }
 
 // --- Brownout ladder -------------------------------------------------
@@ -312,7 +302,7 @@ TEST(AdmissionController, FeasibilityPredictorTracksCostModel) {
   EXPECT_TRUE(controller.infeasible(3.0, 4));   // 4 ms estimated > 3 ms
   EXPECT_FALSE(controller.infeasible(5.0, 4));
   // A cheap observed batch relaxes the predictor.
-  controller.on_round("t", 10, 1.0, 0.0, 1.0);  // 0.1 ms/col
+  controller.on_round("t", 10, 1.0, 1.0);  // 0.1 ms/col
   EXPECT_FALSE(controller.infeasible(3.0, 4));
 }
 

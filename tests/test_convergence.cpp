@@ -25,7 +25,7 @@ DenseMatrix scattered_batch(std::size_t n, std::size_t b) {
 }
 
 TEST(ConvergenceDetector, NeedsTwoClusteredLayers) {
-  ConvergenceDetector det(0.05f, 0.01f);
+  ConvergenceDetector det(0.01f);
   const auto y = uniform_batch(64, 16, 1.0f);
   EXPECT_FALSE(det.observe(y));  // first clustered layer
   EXPECT_TRUE(det.observe(y));   // second -> converged
@@ -34,7 +34,7 @@ TEST(ConvergenceDetector, NeedsTwoClusteredLayers) {
 }
 
 TEST(ConvergenceDetector, ScatteredBatchNeverConverges) {
-  ConvergenceDetector det(0.05f, 0.01f);
+  ConvergenceDetector det(0.01f);
   const auto y = scattered_batch(64, 16);
   for (int layer = 0; layer < 10; ++layer) {
     EXPECT_FALSE(det.observe(y));
@@ -45,14 +45,14 @@ TEST(ConvergenceDetector, ScatteredBatchNeverConverges) {
 TEST(ConvergenceDetector, ValuesMayChangeAcrossLayersWhileClustered) {
   // The essential semantics: convergence is columns matching EACH OTHER,
   // not staying constant over layers (weights differ per layer).
-  ConvergenceDetector det(0.05f, 0.01f);
+  ConvergenceDetector det(0.01f);
   EXPECT_FALSE(det.observe(uniform_batch(32, 8, 1.0f)));
   EXPECT_TRUE(det.observe(uniform_batch(32, 8, 7.0f)));  // new value, still
                                                          // clustered
 }
 
 TEST(ConvergenceDetector, DeclusteringResetsTheStreak) {
-  ConvergenceDetector det(0.05f, 0.01f);
+  ConvergenceDetector det(0.01f);
   det.observe(uniform_batch(32, 8, 1.0f));   // hit 1
   EXPECT_FALSE(det.observe(scattered_batch(32, 8)));  // reset
   EXPECT_FALSE(det.observe(uniform_batch(32, 8, 2.0f)));  // hit 1
@@ -60,7 +60,7 @@ TEST(ConvergenceDetector, DeclusteringResetsTheStreak) {
 }
 
 TEST(ConvergenceDetector, ToleratesSubEtaJitter) {
-  ConvergenceDetector det(0.05f, 0.1f);
+  ConvergenceDetector det(0.1f);
   platform::Rng rng(5);
   DenseMatrix y(32, 8, 1.0f);
   for (std::size_t i = 0; i < 32 * 8; ++i) {
@@ -73,7 +73,7 @@ TEST(ConvergenceDetector, ToleratesSubEtaJitter) {
 TEST(ConvergenceDetector, TwoClusterBatchConverges) {
   // Clusters need not be a single attractor: any near-duplicate structure
   // gives every column a near neighbour.
-  ConvergenceDetector det(0.05f, 0.01f);
+  ConvergenceDetector det(0.01f);
   DenseMatrix y(32, 8);
   for (std::size_t j = 0; j < 8; ++j) {
     const float v = (j % 2 == 0) ? 1.0f : 5.0f;
@@ -84,8 +84,9 @@ TEST(ConvergenceDetector, TwoClusterBatchConverges) {
 }
 
 TEST(ConvergenceDetector, PartialClusteringScoresBetweenExtremes) {
-  ConvergenceDetector det(0.5f, 0.01f, 8, 64);
-  // Columns agree on the first half of rows, differ on the second.
+  ConvergenceDetector det(0.01f);
+  // Columns agree on the first half of rows, differ on the second. The
+  // probe covers the whole 64 x 8 matrix (it is clamped to the matrix).
   DenseMatrix y(64, 8, 1.0f);
   for (std::size_t j = 0; j < 8; ++j) {
     for (std::size_t r = 32; r < 64; ++r) {
@@ -97,7 +98,7 @@ TEST(ConvergenceDetector, PartialClusteringScoresBetweenExtremes) {
 }
 
 TEST(ConvergenceDetector, ResetClearsState) {
-  ConvergenceDetector det(0.05f, 0.01f);
+  ConvergenceDetector det(0.01f);
   det.observe(uniform_batch(16, 4, 1.0f));
   det.observe(uniform_batch(16, 4, 1.0f));
   ASSERT_TRUE(det.converged());

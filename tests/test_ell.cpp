@@ -77,19 +77,6 @@ TEST(Ell, SpmmMatchesCsrGather) {
   EXPECT_LE(DenseMatrix::max_abs_diff(a, b), 1e-5f);
 }
 
-TEST(Ell, SpmmColsOnlyTouchesListed) {
-  const auto ell = EllMatrix::from_coo(ragged_example());
-  DenseMatrix y(4, 3, 1.0f);
-  DenseMatrix out(3, 3, -9.0f);
-  const std::vector<Index> cols = {1};
-  spmm_ell_cols(ell, y, cols, out);
-  EXPECT_FLOAT_EQ(out.at(0, 1), 3.0f);   // 1 + 2
-  EXPECT_FLOAT_EQ(out.at(1, 1), 0.0f);   // empty row
-  EXPECT_FLOAT_EQ(out.at(2, 1), 15.0f);  // 4 + 5 + 6
-  EXPECT_FLOAT_EQ(out.at(0, 0), -9.0f);  // untouched
-  EXPECT_FLOAT_EQ(out.at(2, 2), -9.0f);
-}
-
 TEST(Ell, EmptyMatrix) {
   CooMatrix coo(4, 4);
   const auto ell = EllMatrix::from_coo(coo);

@@ -30,6 +30,13 @@ class FaultRegistryTest : public ::testing::Test {
   void TearDown() override { FaultRegistry::global().clear(); }
 };
 
+TEST(ErrorCodePrinter, GtestPrintsTheStableName) {
+  // Failed EXPECT_EQs on codes (as below) print names, not enum bytes.
+  EXPECT_EQ(::testing::PrintToString(ErrorCode::kBadModelFile),
+            "bad_model_file");
+  EXPECT_EQ(::testing::PrintToString(ErrorCode::kBadInput), "bad_input");
+}
+
 TEST_F(FaultRegistryTest, DisarmedByDefaultAndAfterClear) {
   auto& reg = FaultRegistry::global();
   reg.clear();

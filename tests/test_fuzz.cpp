@@ -20,6 +20,7 @@
 #include "snicit/engine.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/spmm.hpp"
+#include "sparse/spmm_policy.hpp"
 
 namespace snicit {
 namespace {
@@ -80,10 +81,10 @@ TEST_P(EngineFuzz, AllEnginesAgreeOnRandomWorkloads) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range(1, 25));
 
 // Column-subset kernel property: for random (W, Y, subset) triples every
-// *_cols variant must (a) leave untouched columns bit-identical and
-// (b) produce, on the touched columns, exactly the full kernel's values
-// for those columns (same per-column accumulation order, so the match is
-// bitwise, not approximate).
+// arm's column-subset dispatch must (a) leave untouched columns
+// bit-identical and (b) produce, on the touched columns, exactly its
+// family's full scalar arm's values for those columns (same per-column
+// accumulation order, so the match is bitwise, not approximate).
 class ColsKernelFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ColsKernelFuzz, SubsetVariantsTouchOnlyTheirColumns) {
@@ -113,7 +114,8 @@ TEST_P(ColsKernelFuzz, SubsetVariantsTouchOnlyTheirColumns) {
   dnn::DenseMatrix full_gather(static_cast<std::size_t>(rows), batch);
   sparse::spmm_gather(w, y, full_gather);
   dnn::DenseMatrix full_scatter(static_cast<std::size_t>(rows), batch);
-  sparse::spmm_scatter(w_csc, y, full_scatter);
+  sparse::spmm_dispatch(w, &w_csc, y, full_scatter, 0.5,
+                        {sparse::SpmmVariant::kScatter});
 
   constexpr float kSentinel = 123.25f;
   const auto check = [&](const dnn::DenseMatrix& out,
@@ -137,21 +139,14 @@ TEST_P(ColsKernelFuzz, SubsetVariantsTouchOnlyTheirColumns) {
     }
   };
 
-  dnn::DenseMatrix out(static_cast<std::size_t>(rows), batch, kSentinel);
-  sparse::spmm_gather_cols(w, y, subset, out);
-  check(out, full_gather, "gather_cols");
-  out = dnn::DenseMatrix(static_cast<std::size_t>(rows), batch, kSentinel);
-  sparse::spmm_gather_cols_simd(w, y, subset, out);
-  check(out, full_gather, "gather_cols_simd");
-  out = dnn::DenseMatrix(static_cast<std::size_t>(rows), batch, kSentinel);
-  sparse::spmm_gather_cols_threaded(w, y, subset, out);
-  check(out, full_gather, "gather_cols_threaded");
-  out = dnn::DenseMatrix(static_cast<std::size_t>(rows), batch, kSentinel);
-  sparse::spmm_scatter_cols(w_csc, y, subset, out);
-  check(out, full_scatter, "scatter_cols");
-  out = dnn::DenseMatrix(static_cast<std::size_t>(rows), batch, kSentinel);
-  sparse::spmm_scatter_cols_simd(w_csc, y, subset, out);
-  check(out, full_scatter, "scatter_cols_simd");
+  for (int i = 0; i < sparse::kNumSpmmVariants; ++i) {
+    const auto v = static_cast<sparse::SpmmVariant>(i);
+    const bool scatter = v == sparse::SpmmVariant::kScatter ||
+                         v == sparse::SpmmVariant::kScatterSimd;
+    dnn::DenseMatrix out(static_cast<std::size_t>(rows), batch, kSentinel);
+    sparse::spmm_dispatch_cols(w, &w_csc, y, subset, out, 0.5, {v});
+    check(out, scatter ? full_scatter : full_gather, sparse::to_string(v));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColsKernelFuzz, ::testing::Range(1, 21));

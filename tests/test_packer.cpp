@@ -128,7 +128,7 @@ TEST(Packers, SimilarityGroupsIdenticalSignatures) {
   const Signature a = 0x1234123412341234ULL;
   const Signature b = ~a;
   const std::vector<Signature> sigs = {a, b, a, b, a, b};
-  SimilarityPacker packer(0.75);
+  SimilarityPacker packer;
   const auto order = packer.pack(sigs, 3);
   ASSERT_TRUE(is_permutation_of_n(order, sigs.size()));
   const std::vector<std::size_t> expected = {0, 2, 4, 1, 3, 5};

@@ -131,7 +131,8 @@ TEST(PostConv, CentroidColumnFollowsPlainFeedForward) {
   }
   DenseMatrix out(fx.y_t.rows(), 1);
   sparse::spmm_gather(fx.net.weight(fx.t), single, out);
-  sparse::apply_bias_activation(out, fx.net.bias(fx.t), fx.net.ymax());
+  sparse::apply_bias_activation(out,
+                                {fx.net.bias(fx.t), 0.0f, fx.net.ymax()});
   for (std::size_t r = 0; r < fx.y_t.rows(); ++r) {
     EXPECT_FLOAT_EQ(batch.yhat.at(r, 0), out.at(r, 0));
   }

@@ -6,6 +6,7 @@
 
 #include "platform/rng.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/spmm_policy.hpp"
 
 namespace snicit::sparse {
 namespace {
@@ -73,7 +74,8 @@ TEST(SpmmScatter, MatchesGatherBitwiseOnSparseInputs) {
   DenseMatrix a(40, 8);
   DenseMatrix b(40, 8);
   spmm_gather(w, y, a);
-  spmm_scatter(CscMatrix::from_csr(w), y, b);
+  const auto w_csc = CscMatrix::from_csr(w);
+  spmm_dispatch(w, &w_csc, y, b, 0.3, {SpmmVariant::kScatter});
   EXPECT_LE(DenseMatrix::max_abs_diff(a, b), 1e-4f);
 }
 
@@ -81,7 +83,8 @@ TEST(SpmmScatter, AllZeroInputGivesZeroOutput) {
   const auto w = random_weights(16, 16, 0.3, 5);
   DenseMatrix y(16, 4);  // all zeros
   DenseMatrix out(16, 4, 99.0f);
-  spmm_scatter(CscMatrix::from_csr(w), y, out);
+  const auto w_csc = CscMatrix::from_csr(w);
+  spmm_dispatch(w, &w_csc, y, out, 0.0, {SpmmVariant::kScatter});
   EXPECT_EQ(out.count_nonzeros(), 0u);  // scatter zero-fills its columns
 }
 
@@ -90,7 +93,8 @@ TEST(SpmmGatherCols, OnlyTouchesListedColumns) {
   const auto y = random_activations(12, 6, 0.7, 9);
   DenseMatrix out(12, 6, -7.0f);
   const std::vector<Index> cols = {1, 4};
-  spmm_gather_cols(w, y, cols, out);
+  spmm_dispatch_cols(w, nullptr, y, cols, out, 0.7,
+                     {SpmmVariant::kGatherScalar});
   const auto ref = dense_spmm(w, y);
   for (std::size_t j = 0; j < 6; ++j) {
     const bool listed = (j == 1 || j == 4);
@@ -109,7 +113,9 @@ TEST(SpmmScatterCols, OnlyTouchesListedColumns) {
   const auto y = random_activations(12, 6, 0.7, 11);
   DenseMatrix out(12, 6, -7.0f);
   const std::vector<Index> cols = {0, 5};
-  spmm_scatter_cols(CscMatrix::from_csr(w), y, cols, out);
+  const auto w_csc = CscMatrix::from_csr(w);
+  spmm_dispatch_cols(w, &w_csc, y, cols, out, 0.7,
+                     {SpmmVariant::kScatter});
   const auto ref = dense_spmm(w, y);
   for (std::size_t j = 0; j < 6; ++j) {
     const bool listed = (j == 0 || j == 5);
@@ -129,7 +135,7 @@ TEST(BiasActivation, VectorBiasClipsBothSides) {
   y.at(1, 0) = 10.0f;
   y.at(2, 0) = 50.0f;
   const std::vector<float> bias = {1.0f, -1.0f, 0.0f};
-  apply_bias_activation(y, bias, 32.0f);
+  apply_bias_activation(y, {bias, 0.0f, 32.0f});
   EXPECT_FLOAT_EQ(y.at(0, 0), 0.0f);   // -5+1 clipped at 0
   EXPECT_FLOAT_EQ(y.at(1, 0), 9.0f);   // 10-1
   EXPECT_FLOAT_EQ(y.at(2, 0), 32.0f);  // 50 clipped at ymax
@@ -143,9 +149,9 @@ TEST(BiasActivation, ScalarBiasEqualsVectorBias) {
     a.data()[i] = rng.uniform(-2.0f, 2.0f);
   }
   DenseMatrix b = a;
-  apply_bias_activation(a, -0.3f, 1.0f);
+  apply_bias_activation(a, {{}, -0.3f, 1.0f});
   const std::vector<float> bias(8, -0.3f);
-  apply_bias_activation(b, bias, 1.0f);
+  apply_bias_activation(b, {bias, 0.0f, 1.0f});
   EXPECT_FLOAT_EQ(DenseMatrix::max_abs_diff(a, b), 0.0f);
 }
 
@@ -164,8 +170,9 @@ TEST(DensityEstimate, EmptyColumnListIsZero) {
   EXPECT_DOUBLE_EQ(estimate_column_density(y, {}), 0.0);
 }
 
-// Property sweep: all kernel variants agree on random (shape, density)
-// combinations — the invariant behind XY-2021's free kernel choice.
+// Property sweep: every forced arm agrees with scalar gather on random
+// (shape, density) combinations — the invariant behind XY-2021's free
+// kernel choice.
 class KernelEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int, double, double>> {
 };
@@ -176,11 +183,15 @@ TEST_P(KernelEquivalence, AllVariantsAgree) {
   const auto y = random_activations(static_cast<std::size_t>(n),
                                     static_cast<std::size_t>(b), y_density,
                                     200 + b);
+  const auto w_csc = CscMatrix::from_csr(w);
   DenseMatrix g(n, b);
-  DenseMatrix s(n, b);
   spmm_gather(w, y, g);
-  spmm_scatter(CscMatrix::from_csr(w), y, s);
-  EXPECT_LE(DenseMatrix::max_abs_diff(g, s), 1e-3f);
+  for (int i = 0; i < kNumSpmmVariants; ++i) {
+    const auto v = static_cast<SpmmVariant>(i);
+    DenseMatrix out(n, b);
+    spmm_dispatch(w, &w_csc, y, out, y_density, {v});
+    EXPECT_LE(DenseMatrix::max_abs_diff(g, out), 1e-3f) << to_string(v);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,22 +1,24 @@
 // Differential kernel-equivalence suite for the spMM family.
 //
-// The scalar kernels (spmm_gather / spmm_gather_cols / spmm_scatter /
-// spmm_scatter_cols) are the reference semantics; every optimized variant
-// (register-blocked SIMD, row-parallel threaded) must match
-// them on randomized weights and activations covering the shapes the
-// engines actually produce: empty weight rows, dense rows, single-column
-// batches, batch widths that are not a multiple of the 8-lane block.
+// Every arm runs through the spmm_dispatch* entry points with a forced
+// SpmmPolicy — the only way into the kernels. The scalar arms (gather,
+// scatter) are the reference semantics; every blocked arm (register-
+// blocked SIMD, row-parallel threaded) must match its family's scalar arm
+// on randomized weights and activations covering the shapes the engines
+// actually produce: empty weight rows, dense rows, single-column batches,
+// batch widths that are not a multiple of the 8-lane block.
 //
 // Within a kernel family the accumulation order per output element is
 // identical by construction, so the comparison is bitwise (memcmp — a
 // -0.0f/NaN slip would fail loudly). Across families (gather vs scatter)
 // the reduction order may differ, so those comparisons are bounded-error
-// instead. The policy layer (cost model, selector, env
-// parsing, dispatch) is covered at the bottom.
+// instead. The policy layer (cost model, selector, spec parsing,
+// dispatch) is covered at the bottom.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "platform/rng.hpp"
@@ -79,6 +81,56 @@ void expect_close(const DenseMatrix& ref, const DenseMatrix& got,
   }
 }
 
+constexpr SpmmVariant kGatherFamily[] = {SpmmVariant::kGatherScalar,
+                                         SpmmVariant::kGatherSimd,
+                                         SpmmVariant::kGatherThreaded};
+constexpr SpmmVariant kScatterFamily[] = {SpmmVariant::kScatter,
+                                          SpmmVariant::kScatterSimd};
+
+/// The scalar arm whose accumulation order arm `v` reproduces.
+SpmmVariant family_scalar(SpmmVariant v) {
+  return v == SpmmVariant::kScatter || v == SpmmVariant::kScatterSimd
+             ? SpmmVariant::kScatter
+             : SpmmVariant::kGatherScalar;
+}
+
+/// Runs arm `v` through the dispatch with a forced policy: over every
+/// column, or only `subset` when it is non-null; plain, or with `epi` in
+/// `mode`. The output starts at `fill`, so a subset run's untouched
+/// columns and a full run's overwrite both show.
+DenseMatrix run_arm(SpmmVariant v, const CsrMatrix& w, const CscMatrix& w_csc,
+                    const DenseMatrix& y,
+                    const std::vector<Index>* subset = nullptr,
+                    const BiasAct* epi = nullptr,
+                    SpmmEpilogue mode = SpmmEpilogue::kFused,
+                    float fill = 0.0f) {
+  DenseMatrix out(static_cast<std::size_t>(w.rows()), y.cols(), fill);
+  const SpmmPolicy policy{v, mode};
+  const double density = 0.5;  // a forced arm never reads it
+  if (subset == nullptr && epi == nullptr) {
+    spmm_dispatch(w, &w_csc, y, out, density, policy);
+  } else if (subset == nullptr) {
+    spmm_dispatch_fused(w, &w_csc, y, out, density, *epi, policy);
+  } else if (epi == nullptr) {
+    spmm_dispatch_cols(w, &w_csc, y, *subset, out, density, policy);
+  } else {
+    spmm_dispatch_cols_fused(w, &w_csc, y, *subset, out, density, *epi,
+                             policy);
+  }
+  return out;
+}
+
+/// Random ascending strict subset of [0, batch), never empty (engines
+/// always pass ascending lists).
+std::vector<Index> random_subset(platform::Rng& rng, std::size_t batch) {
+  std::vector<Index> subset;
+  for (std::size_t j = 0; j < batch; ++j) {
+    if (rng.next_bool(0.6)) subset.push_back(static_cast<Index>(j));
+  }
+  if (subset.empty()) subset.push_back(0);
+  return subset;
+}
+
 // Batch widths straddling the 8-lane block: below, at, just above, and a
 // multi-group non-multiple.
 const std::size_t kBatches[] = {1, 2, 3, 5, 7, 8, 9, 16, 20};
@@ -91,17 +143,17 @@ TEST_P(KernelEquivalence, GatherFamilyBitExact) {
   const Index rows = static_cast<Index>(16 + rng.next_below(100));
   const Index cols = static_cast<Index>(16 + rng.next_below(100));
   const auto w = random_weights(rows, cols, 0.2, seed);
+  const auto w_csc = CscMatrix::from_csr(w);
   for (std::size_t batch : kBatches) {
     const auto y = random_activations(static_cast<std::size_t>(cols), batch,
                                       0.6, seed + batch);
+    // The hook-free public kernel is the scalar gather arm.
     DenseMatrix ref(static_cast<std::size_t>(rows), batch);
     spmm_gather(w, y, ref);
-    DenseMatrix out(static_cast<std::size_t>(rows), batch);
-    spmm_gather_simd(w, y, out);
-    EXPECT_TRUE(bit_equal(ref, out)) << "gather_simd batch " << batch;
-    out = DenseMatrix(static_cast<std::size_t>(rows), batch);
-    spmm_gather_threaded(w, y, out);
-    EXPECT_TRUE(bit_equal(ref, out)) << "gather_threaded batch " << batch;
+    for (const auto v : kGatherFamily) {
+      EXPECT_TRUE(bit_equal(ref, run_arm(v, w, w_csc, y)))
+          << to_string(v) << " batch " << batch;
+    }
   }
 }
 
@@ -117,11 +169,10 @@ TEST_P(KernelEquivalence, ScatterFamilyBitExact) {
     // group-skip + neutral zero lanes in blocked) actually diverge.
     const auto y = random_activations(static_cast<std::size_t>(cols), batch,
                                       0.25, seed + 31 * batch);
-    DenseMatrix ref(static_cast<std::size_t>(rows), batch);
-    spmm_scatter(w_csc, y, ref);
-    DenseMatrix out(static_cast<std::size_t>(rows), batch);
-    spmm_scatter_simd(w_csc, y, out);
-    EXPECT_TRUE(bit_equal(ref, out)) << "scatter_simd batch " << batch;
+    const auto ref = run_arm(SpmmVariant::kScatter, w, w_csc, y);
+    EXPECT_TRUE(bit_equal(ref, run_arm(SpmmVariant::kScatterSimd, w, w_csc,
+                                       y)))
+        << "scatter_simd batch " << batch;
   }
 }
 
@@ -135,28 +186,16 @@ TEST_P(KernelEquivalence, ColumnSubsetVariantsBitExact) {
   const std::size_t batch = 2 + rng.next_below(24);
   const auto y = random_activations(static_cast<std::size_t>(cols), batch,
                                     0.4, seed + 5);
-  // Random strict subset (possibly unsorted order is not exercised here:
-  // engines always pass ascending lists).
-  std::vector<Index> subset;
-  for (std::size_t j = 0; j < batch; ++j) {
-    if (rng.next_bool(0.6)) subset.push_back(static_cast<Index>(j));
+  const auto subset = random_subset(rng, batch);
+  // 0.5f sentinel: columns outside the subset stay untouched by every arm.
+  for (int i = 0; i < kNumSpmmVariants; ++i) {
+    const auto v = static_cast<SpmmVariant>(i);
+    const auto ref = run_arm(family_scalar(v), w, w_csc, y, &subset, nullptr,
+                             SpmmEpilogue::kFused, 0.5f);
+    EXPECT_TRUE(bit_equal(ref, run_arm(v, w, w_csc, y, &subset, nullptr,
+                                       SpmmEpilogue::kFused, 0.5f)))
+        << to_string(v);
   }
-  if (subset.empty()) subset.push_back(0);
-
-  DenseMatrix ref(static_cast<std::size_t>(rows), batch, 0.5f);
-  spmm_gather_cols(w, y, subset, ref);
-  DenseMatrix out(static_cast<std::size_t>(rows), batch, 0.5f);
-  spmm_gather_cols_simd(w, y, subset, out);
-  EXPECT_TRUE(bit_equal(ref, out)) << "gather_cols_simd";
-  out = DenseMatrix(static_cast<std::size_t>(rows), batch, 0.5f);
-  spmm_gather_cols_threaded(w, y, subset, out);
-  EXPECT_TRUE(bit_equal(ref, out)) << "gather_cols_threaded";
-
-  DenseMatrix sref(static_cast<std::size_t>(rows), batch, 0.5f);
-  spmm_scatter_cols(w_csc, y, subset, sref);
-  DenseMatrix sout(static_cast<std::size_t>(rows), batch, 0.5f);
-  spmm_scatter_cols_simd(w_csc, y, subset, sout);
-  EXPECT_TRUE(bit_equal(sref, sout)) << "scatter_cols_simd";
 }
 
 TEST_P(KernelEquivalence, CrossFamilyBoundedError) {
@@ -168,11 +207,9 @@ TEST_P(KernelEquivalence, CrossFamilyBoundedError) {
   const auto y = random_activations(96, 13, 0.5, seed + 9);
   DenseMatrix ref(64, 13);
   spmm_gather(w, y, ref);
-  DenseMatrix out(64, 13);
-  spmm_scatter(w_csc, y, out);
-  expect_close(ref, out, "scatter vs gather");
-  spmm_scatter_simd(w_csc, y, out);
-  expect_close(ref, out, "scatter_simd vs gather");
+  for (const auto v : kScatterFamily) {
+    expect_close(ref, run_arm(v, w, w_csc, y), to_string(v));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalence, ::testing::Range(1, 13));
@@ -182,44 +219,69 @@ TEST(KernelEquivalenceEdge, AllEmptyWeightRows) {
   const auto w = CsrMatrix::from_coo(coo);
   const auto w_csc = CscMatrix::from_csr(w);
   const auto y = random_activations(8, 9, 0.9, 11);
-  DenseMatrix ref(8, 9, 3.0f);
-  DenseMatrix out(8, 9, 7.0f);
-  spmm_gather(w, y, ref);
-  spmm_gather_simd(w, y, out);
-  EXPECT_TRUE(bit_equal(ref, out));
-  spmm_scatter(w_csc, y, ref);
-  spmm_scatter_simd(w_csc, y, out);
-  EXPECT_TRUE(bit_equal(ref, out));
-  EXPECT_EQ(out.count_nonzeros(), 0u);
+  // Different prefills: full-batch arms overwrite every output element.
+  for (int i = 0; i < kNumSpmmVariants; ++i) {
+    const auto v = static_cast<SpmmVariant>(i);
+    const auto ref = run_arm(family_scalar(v), w, w_csc, y, nullptr,
+                             nullptr, SpmmEpilogue::kFused, 3.0f);
+    const auto out = run_arm(v, w, w_csc, y, nullptr, nullptr,
+                             SpmmEpilogue::kFused, 7.0f);
+    EXPECT_TRUE(bit_equal(ref, out)) << to_string(v);
+    EXPECT_EQ(out.count_nonzeros(), 0u) << to_string(v);
+  }
 }
 
 TEST(KernelEquivalenceEdge, AllZeroActivations) {
   const auto w = random_weights(32, 32, 0.5, 17);
   const auto w_csc = CscMatrix::from_csr(w);
   DenseMatrix y(32, 12);  // all zeros: scatter group-skip fires everywhere
-  DenseMatrix ref(32, 12, 1.0f);
-  DenseMatrix out(32, 12, 2.0f);
-  spmm_scatter(w_csc, y, ref);
-  spmm_scatter_simd(w_csc, y, out);
-  EXPECT_TRUE(bit_equal(ref, out));
-  spmm_gather(w, y, ref);
-  spmm_gather_simd(w, y, out);
-  EXPECT_TRUE(bit_equal(ref, out));
+  for (int i = 0; i < kNumSpmmVariants; ++i) {
+    const auto v = static_cast<SpmmVariant>(i);
+    const auto ref = run_arm(family_scalar(v), w, w_csc, y, nullptr,
+                             nullptr, SpmmEpilogue::kFused, 1.0f);
+    EXPECT_TRUE(bit_equal(ref, run_arm(v, w, w_csc, y, nullptr, nullptr,
+                                       SpmmEpilogue::kFused, 2.0f)))
+        << to_string(v);
+  }
 }
 
 // --- Fused epilogue --------------------------------------------------------
 //
-// Contract under test: every `_fused` kernel is *bit-identical* to its
-// split counterpart followed by apply_bias_activation on the same
-// columns — same accumulation order, epilogue applied per element after
-// its chain completes. Signs, clipping at 0 and at ymax, per-row and
-// scalar bias all ride along.
+// Contract under test: every arm with its epilogue fused is *bit-identical*
+// to the same arm with the split epilogue, and both to the plain arm
+// followed by apply_bias_activation on the same columns — same
+// accumulation order, epilogue applied per element after its chain
+// completes. Signs, clipping at 0 and at ymax, per-row and scalar bias
+// all ride along.
 
 std::vector<float> random_bias(std::size_t rows, std::uint64_t seed) {
   platform::Rng rng(seed);
   std::vector<float> b(rows);
   for (auto& v : b) v = rng.uniform(-0.4f, 0.4f);
   return b;
+}
+
+/// Fused and split runs of every arm (full batch, or `subset`) against
+/// the plain run of the same arm followed by the public epilogue pass.
+void expect_fused_equals_split(const CsrMatrix& w, const CscMatrix& w_csc,
+                               const DenseMatrix& y, const BiasAct& epi,
+                               const std::vector<Index>* subset,
+                               const std::string& what) {
+  // 0.5f sentinel: columns outside a subset stay untouched in every mode
+  // (and therefore still compare bit-equal).
+  for (int i = 0; i < kNumSpmmVariants; ++i) {
+    const auto v = static_cast<SpmmVariant>(i);
+    const auto fused =
+        run_arm(v, w, w_csc, y, subset, &epi, SpmmEpilogue::kFused, 0.5f);
+    const auto split =
+        run_arm(v, w, w_csc, y, subset, &epi, SpmmEpilogue::kSplit, 0.5f);
+    EXPECT_TRUE(bit_equal(split, fused)) << to_string(v) << " " << what;
+    if (subset == nullptr) {
+      auto manual = run_arm(v, w, w_csc, y);
+      apply_bias_activation(manual, epi);
+      EXPECT_TRUE(bit_equal(manual, split)) << to_string(v) << " " << what;
+    }
+  }
 }
 
 TEST_P(KernelEquivalence, FusedFullMatrixBitIdenticalToSplit) {
@@ -237,35 +299,8 @@ TEST_P(KernelEquivalence, FusedFullMatrixBitIdenticalToSplit) {
                               std::size_t{9}, std::size_t{16}}) {
       const auto y = random_activations(static_cast<std::size_t>(cols), batch,
                                         density, seed + batch);
-      DenseMatrix split(static_cast<std::size_t>(rows), batch);
-      DenseMatrix fused(static_cast<std::size_t>(rows), batch);
-
-      spmm_gather(w, y, split);
-      apply_bias_activation(split, bias, ymax);
-      spmm_gather_fused(w, y, fused, epi);
-      EXPECT_TRUE(bit_equal(split, fused)) << "gather batch " << batch;
-
-      spmm_gather_simd(w, y, split);
-      apply_bias_activation(split, bias, ymax);
-      spmm_gather_simd_fused(w, y, fused, epi);
-      EXPECT_TRUE(bit_equal(split, fused)) << "gather_simd batch " << batch;
-
-      spmm_gather_threaded(w, y, split);
-      apply_bias_activation(split, bias, ymax);
-      spmm_gather_threaded_fused(w, y, fused, epi);
-      EXPECT_TRUE(bit_equal(split, fused))
-          << "gather_threaded batch " << batch;
-
-      spmm_scatter(w_csc, y, split);
-      apply_bias_activation(split, bias, ymax);
-      spmm_scatter_fused(w_csc, y, fused, epi);
-      EXPECT_TRUE(bit_equal(split, fused)) << "scatter batch " << batch;
-
-      spmm_scatter_simd(w_csc, y, split);
-      apply_bias_activation(split, bias, ymax);
-      spmm_scatter_simd_fused(w_csc, y, fused, epi);
-      EXPECT_TRUE(bit_equal(split, fused))
-          << "scatter_simd batch " << batch;
+      expect_fused_equals_split(w, w_csc, y, epi, nullptr,
+                                "batch " + std::to_string(batch));
     }
   }
 }
@@ -273,14 +308,10 @@ TEST_P(KernelEquivalence, FusedFullMatrixBitIdenticalToSplit) {
 TEST_P(KernelEquivalence, FusedScalarBiasBitIdenticalToSplit) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const auto w = random_weights(48, 64, 0.3, seed + 5000);
+  const auto w_csc = CscMatrix::from_csr(w);
   const auto y = random_activations(64, 9, 0.5, seed + 13);
   const BiasAct epi{{}, -0.2f, 1.5f};  // empty bias selects the scalar arm
-  DenseMatrix split(48, 9);
-  DenseMatrix fused(48, 9);
-  spmm_gather_simd(w, y, split);
-  apply_bias_activation(split, -0.2f, 1.5f);
-  spmm_gather_simd_fused(w, y, fused, epi);
-  EXPECT_TRUE(bit_equal(split, fused));
+  expect_fused_equals_split(w, w_csc, y, epi, nullptr, "scalar bias");
 }
 
 TEST_P(KernelEquivalence, FusedColumnSubsetBitIdenticalToSplit) {
@@ -293,43 +324,10 @@ TEST_P(KernelEquivalence, FusedColumnSubsetBitIdenticalToSplit) {
   const std::size_t batch = 3 + rng.next_below(20);
   const auto y = random_activations(static_cast<std::size_t>(cols), batch,
                                     0.4, seed + 17);
-  std::vector<Index> subset;
-  for (std::size_t j = 0; j < batch; ++j) {
-    if (rng.next_bool(0.6)) subset.push_back(static_cast<Index>(j));
-  }
-  if (subset.empty()) subset.push_back(0);
+  const auto subset = random_subset(rng, batch);
   const auto bias = random_bias(static_cast<std::size_t>(rows), seed + 19);
   const BiasAct epi{bias, 0.0f, 1.0f};
-
-  // 0.5f sentinel: columns outside the subset must stay untouched in
-  // both modes (and therefore still compare bit-equal).
-  DenseMatrix split(static_cast<std::size_t>(rows), batch, 0.5f);
-  DenseMatrix fused(static_cast<std::size_t>(rows), batch, 0.5f);
-
-  spmm_gather_cols(w, y, subset, split);
-  apply_bias_activation_cols(split, subset, epi);
-  spmm_gather_cols_fused(w, y, subset, fused, epi);
-  EXPECT_TRUE(bit_equal(split, fused)) << "gather_cols";
-
-  spmm_gather_cols_simd(w, y, subset, split);
-  apply_bias_activation_cols(split, subset, epi);
-  spmm_gather_cols_simd_fused(w, y, subset, fused, epi);
-  EXPECT_TRUE(bit_equal(split, fused)) << "gather_cols_simd";
-
-  spmm_gather_cols_threaded(w, y, subset, split);
-  apply_bias_activation_cols(split, subset, epi);
-  spmm_gather_cols_threaded_fused(w, y, subset, fused, epi);
-  EXPECT_TRUE(bit_equal(split, fused)) << "gather_cols_threaded";
-
-  spmm_scatter_cols(w_csc, y, subset, split);
-  apply_bias_activation_cols(split, subset, epi);
-  spmm_scatter_cols_fused(w_csc, y, subset, fused, epi);
-  EXPECT_TRUE(bit_equal(split, fused)) << "scatter_cols";
-
-  spmm_scatter_cols_simd(w_csc, y, subset, split);
-  apply_bias_activation_cols(split, subset, epi);
-  spmm_scatter_cols_simd_fused(w_csc, y, subset, fused, epi);
-  EXPECT_TRUE(bit_equal(split, fused)) << "scatter_cols_simd";
+  expect_fused_equals_split(w, w_csc, y, epi, &subset, "subset");
 }
 
 // --- Policy layer ----------------------------------------------------------
@@ -482,7 +480,7 @@ TEST(SpmmDispatch, FusedEntryPointBitIdenticalAcrossModes) {
   // Manual split reference.
   DenseMatrix ref(48, 11);
   spmm_gather(w, y, ref);
-  apply_bias_activation(ref, bias, 1.0f);
+  apply_bias_activation(ref, epi);
 
   for (int i = 0; i < kNumSpmmVariants; ++i) {
     SpmmPolicy policy;
@@ -555,7 +553,7 @@ TEST(SpmmDispatch, ColumnSubsetForcedVariantsMatchReference) {
   const auto y = random_activations(56, 14, 0.5, 37);
   const std::vector<Index> subset = {0, 2, 3, 7, 8, 9, 13};
   DenseMatrix ref(40, 14);
-  spmm_gather_cols(w, y, subset, ref);
+  spmm_gather(w, y, ref);
   SpmmPolicy policy;
   for (int i = 0; i < kNumSpmmVariants; ++i) {
     policy.variant = static_cast<SpmmVariant>(i);
